@@ -5,16 +5,14 @@ Drives the three MILNET-and-beyond scale rungs (``grid64``,
 ``rand256``, ``rand512``) through ``run_many(..., stream=True)`` with
 the full fast-path configuration -- calendar queue, batched SPF repair,
 incremental flooding, duplicate-ack suppression -- and folds the
-streamed worker telemetry into one fleet summary.  ``on_error=
-"collect"`` is the resilience story: a crashed rung becomes a recorded
-failure with a replay recipe, never a dead sweep -- and the streamed
-per-checkpoint deltas keep the fleet aggregate readable mid-flight,
-not only after the slowest rung finishes.
+workers' telemetry into one fleet summary.  ``on_error="collect"`` is
+the resilience story: a crashed rung becomes a recorded failure with a
+replay recipe, never a dead sweep.
 
 Run:  python examples/milnet_sweep.py
 """
 
-from repro.sim import RunSpec, ScenarioConfig, StreamConfig, run_many
+from repro.sim import RunSpec, ScenarioConfig, run_many
 
 #: (scenario, duration_s, warmup_s) -- durations shrink as the rung
 #: grows so each run's event count stays example-sized.
@@ -41,7 +39,7 @@ def main() -> None:
     fleet = run_many(
         specs,
         on_error="collect",     # a failed rung is reported, not fatal
-        stream=StreamConfig(checkpoint_s=2.0),
+        stream=True,
     )
 
     print("MILNET-scale sweep (calendar + batched SPF + incremental "

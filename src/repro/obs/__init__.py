@@ -27,8 +27,8 @@ pieces:
   counter/gauge/histogram registry with a periodic sampler, Prometheus
   text exposition and JSONL snapshots, behind
   ``ScenarioConfig(metrics=...)``.
-* **streaming fleet telemetry** (:mod:`repro.obs.streaming`) --
-  incremental delta aggregation and progress monitoring for
+* **fleet results** (:mod:`repro.obs.streaming`) -- the
+  :class:`FleetResult` view and progress monitoring for
   ``run_many(..., stream=...)``.
 
 See ``docs/observability.md`` for the event schema, sink
@@ -68,12 +68,7 @@ from repro.obs.spans import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
+from repro.obs.streaming import FleetResult, ProgressMonitor, StreamConfig
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.obs.tracer import (
     CIRCUIT_FAIL,
@@ -133,7 +128,6 @@ __all__ = [
     "RingSink",
     "RunTelemetry",
     "SimulationMeters",
-    "StreamAggregator",
     "StreamConfig",
     "TraceEvent",
     "Tracer",

@@ -1,27 +1,13 @@
-"""Streaming fleet telemetry: incremental aggregation for ``run_many``.
+"""Fleet results and progress for ``run_many(..., stream=...)``.
 
-The batch path pickles a whole :class:`~repro.sim.stats.SimulationReport`
-per run back to the master -- fine for a handful of replications,
-wasteful for a parameter sweep where the caller only wants aggregate
-telemetry and a progress read-out.  The streaming path
-(``run_many(..., stream=...)``) has workers push small messages through
-a managed queue instead:
-
-* ``("started", index)`` when a spec begins,
-* ``("delta", index, telemetry_delta)`` at each checkpoint -- a
-  :class:`~repro.obs.telemetry.RunTelemetry` block holding only the
-  counter *increments* since the previous checkpoint (``runs`` is 1 on
-  the first delta of a run and 0 after, so fleet totals count runs
-  exactly once),
-* ``("completed", index, payload)`` / ``("failed", index, info)`` at
-  the end.
-
-This module is the master side: :class:`StreamAggregator` folds deltas
-into a fleet-wide telemetry total with a per-run breakdown, and
-:class:`ProgressMonitor` tracks completed/failed counts with a
-wall-clock ETA and an optional single-line terminal status display.
-Both are plain incremental reducers -- no multiprocessing imports here,
-so the module stays importable everywhere (including workers).
+``stream=`` changes what :func:`~repro.sim.parallel.run_many` returns,
+not how it runs: the one sweep executes every spec and returns its
+worker reports, and :class:`FleetResult` presents them with their
+collected failures, their combined telemetry, and the
+:class:`ProgressMonitor` the sweep fed as it harvested each run
+(completed/failed counts with a wall-clock ETA and an optional
+single-line terminal status display).  No multiprocessing imports here,
+so the module stays importable everywhere.
 """
 
 from __future__ import annotations
@@ -29,41 +15,24 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from repro.obs.telemetry import RunTelemetry
 
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Tuning for a streaming ``run_many`` call.
+    """Options for a streaming ``run_many`` call.
 
     Attributes
     ----------
-    checkpoint_s:
-        Simulation-time interval between worker telemetry deltas.
-        ``None`` sends a single delta at the end of each run (cheapest;
-        progress events still flow per run).  The checkpoint timer's
-        callback only reads counters, so checkpointed runs produce
-        bit-identical *reports*; the kernel event counters
-        (``events_processed`` etc.) do count the checkpoint timer's own
-        ticks -- with ``None`` the fleet telemetry matches the batch
-        path's :func:`~repro.sim.parallel.combined_telemetry` exactly
-        (modulo wall time).
     status_line:
         Render a live ``\\r``-rewritten status line on stderr while the
         fleet runs (off by default: tests and CI logs want clean
         output).
     """
 
-    checkpoint_s: Optional[float] = None
     status_line: bool = False
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_s is not None and self.checkpoint_s <= 0:
-            raise ValueError(
-                f"checkpoint_s must be positive: {self.checkpoint_s}"
-            )
 
 
 class ProgressMonitor:
@@ -150,48 +119,15 @@ class ProgressMonitor:
             self._line_open = False
 
 
-class StreamAggregator:
-    """Folds worker telemetry deltas into fleet and per-run totals.
-
-    The reducer is incremental: each delta merges into the fleet total
-    as it arrives, so memory stays O(runs) in small per-run blocks and
-    the fleet aggregate is readable at any moment mid-flight.  Because
-    :meth:`RunTelemetry.merge` is associative and commutative, the
-    final total is independent of delta arrival order.
-    """
-
-    def __init__(self) -> None:
-        self.total: Optional[RunTelemetry] = None
-        self._per_run: Dict[int, RunTelemetry] = {}
-        self.deltas_received = 0
-
-    def add_delta(self, index: int, delta: RunTelemetry) -> None:
-        """Fold one worker delta into the aggregate."""
-        self.deltas_received += 1
-        existing = self._per_run.get(index)
-        self._per_run[index] = (
-            delta if existing is None else existing.merge(delta)
-        )
-        self.total = delta if self.total is None else self.total.merge(delta)
-
-    def run_telemetry(self, index: int) -> Optional[RunTelemetry]:
-        """The merged telemetry of one run (``None`` if no deltas yet)."""
-        return self._per_run.get(index)
-
-    def per_run(self) -> Dict[int, RunTelemetry]:
-        """All per-run merged blocks, keyed by spec index."""
-        return dict(self._per_run)
-
-
 @dataclass
 class FleetResult:
     """What a streaming ``run_many`` returns.
 
-    ``reports`` holds rebuilt :class:`~repro.sim.stats.SimulationReport`
-    objects in spec order (``None`` where that spec failed and failures
-    are being collected).  ``telemetry`` is the incrementally reduced
-    fleet total -- the streaming counterpart of
-    :func:`~repro.sim.parallel.combined_telemetry`.
+    ``reports`` holds the worker :class:`~repro.sim.stats.SimulationReport`
+    objects themselves, in spec order (``None`` where that spec failed
+    and failures are being collected), each carrying its ``telemetry``.
+    ``telemetry`` is :func:`~repro.sim.parallel.combined_telemetry` over
+    the completed reports.
     """
 
     reports: List[object]

@@ -10,12 +10,7 @@
   -- deterministic fan-out of independent runs across processes.
 """
 
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
+from repro.obs.streaming import FleetResult, ProgressMonitor, StreamConfig
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.sim.legacy_sim import BellmanFordSimulation
 from repro.sim.network_sim import NetworkSimulation, ScenarioConfig
@@ -45,7 +40,6 @@ __all__ = [
     "RunSpec",
     "RunTelemetry",
     "ScenarioConfig",
-    "StreamAggregator",
     "StreamConfig",
     "SimulationReport",
     "StatsCollector",

@@ -36,6 +36,10 @@ discarded because one worker died.  ``run_many`` therefore supports
 Because runs are deterministic, re-executing one after a pool crash is
 safe: a completed retry returns exactly the report the first attempt
 would have produced.
+
+Every call -- serial or pooled, batch or ``stream=`` -- goes through
+one executor, :class:`_Sweep`; ``processes == 1`` drives it over an
+in-process stand-in for the pool.
 """
 
 from __future__ import annotations
@@ -45,16 +49,11 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.des.random_streams import RandomStreams
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
+from repro.obs.streaming import FleetResult, ProgressMonitor, StreamConfig
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.sim.network_sim import ScenarioConfig
 from repro.sim.scenarios import build_scenario
@@ -311,23 +310,13 @@ def run_many(
         Sleep before retry round *r* is ``retry_backoff_s * 2**(r-1)``
         (exponential backoff, first retry waits one unit).
     stream:
-        Streaming fleet aggregation (see :mod:`repro.obs.streaming`).
-        ``True`` or a :class:`~repro.obs.streaming.StreamConfig` makes
-        workers push incremental telemetry deltas and progress events
-        through a queue instead of pickling whole reports back, and
-        changes the return type to
-        :class:`~repro.obs.streaming.FleetResult` -- slot-aligned
-        reports (rebuilt master-side from small payloads), failures,
-        the incrementally reduced fleet telemetry, and the
-        :class:`~repro.obs.streaming.ProgressMonitor`.  ``on_error``
-        keeps its meaning (``"raise"`` fails fast, ``"collect"``
-        records).  Incompatible with ``timeout_s`` / ``retries`` (the
-        resilient sweep machinery owns those).
-
-    Large spec lists are handed to the pool in chunks (about four per
-    worker) so per-task pickling round-trips don't dominate experiments
-    made of many short runs.  The chunked fast path is used whenever no
-    resilience feature is requested, keeping its overhead at zero.
+        ``True`` or a :class:`~repro.obs.streaming.StreamConfig`
+        returns the sweep as a :class:`~repro.obs.streaming.FleetResult`
+        instead: slot-aligned reports (``None`` where a run failed),
+        failures, their :func:`combined_telemetry`, and the
+        :class:`~repro.obs.streaming.ProgressMonitor` the sweep fed as
+        it harvested.  ``on_error``, ``timeout_s`` and ``retries`` keep
+        their meaning.
     """
     specs = list(specs)
     if processes is not None and processes < 1:
@@ -343,79 +332,53 @@ def run_many(
     if processes is None:
         processes = os.cpu_count() or 1
     processes = min(processes, len(specs)) if specs else 1
-    if stream:
-        if timeout_s is not None or retries:
-            raise ValueError(
-                "stream= is incompatible with timeout_s/retries; "
-                "use the resilient batch path for those"
-            )
-        stream_config = (
-            stream if isinstance(stream, StreamConfig) else StreamConfig()
-        )
-        return _run_streaming(specs, processes, stream_config, on_error)
-    resilient = (
-        on_error == "collect" or timeout_s is not None or retries > 0
-    )
-    if processes <= 1 or len(specs) < 2:
-        result = _run_serial(specs, on_error, retries, retry_backoff_s)
-        return result if on_error == "collect" else result.reports
-    if not resilient:
-        chunksize = max(1, len(specs) // (processes * 4))
-        try:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                return list(pool.map(run_spec, specs, chunksize=chunksize))
-        except BrokenProcessPool:
-            # A worker died mid-sweep.  The chunked map cannot say which
-            # spec killed it, so re-run on the resilient path (runs are
-            # deterministic -- completed work re-executes identically)
-            # purely to attribute the crash and raise a RunFailedError
-            # naming the guilty spec instead of a bare pool traceback.
-            result = _run_resilient(
-                specs, processes, timeout_s=None, retries=0,
-                retry_backoff_s=retry_backoff_s, fail_fast=True,
-            )
-            result.raise_first()
-            return result.reports
-    result = _run_resilient(
+    status_line = isinstance(stream, StreamConfig) and stream.status_line
+    sweep = _Sweep(
         specs, processes, timeout_s, retries, retry_backoff_s,
-        fail_fast=on_error == "raise",
+        fail_fast=on_error == "raise", status_line=status_line,
     )
+    batch = sweep.run()
     if on_error == "raise":
-        result.raise_first()
-        return result.reports
-    return result
+        batch.raise_first()
+    if stream:
+        return FleetResult(
+            reports=batch.results,
+            failures=batch.failures,
+            telemetry=combined_telemetry(batch.reports),
+            progress=sweep.progress,
+        )
+    return batch if on_error == "collect" else batch.reports
 
 
-def _run_serial(
-    specs: Sequence[RunSpec],
-    on_error: str,
-    retries: int,
-    retry_backoff_s: float,
-) -> BatchResult:
-    """In-process execution (no pool, so no timeouts and no crashes to
-    survive; retries still apply to be contract-compatible, though a
-    deterministic failure never passes on a later attempt)."""
-    results: List[Optional[SimulationReport]] = [None] * len(specs)
-    failures: List[RunFailure] = []
-    for index, spec in enumerate(specs):
-        try:
-            results[index] = run_spec(spec)
-        except RunFailedError as error:
-            if on_error == "raise":
-                raise
-            failures.append(RunFailure(
-                index=index,
-                scenario=spec.scenario,
-                seed=spec.config.seed,
-                error=error.summary,
-                traceback=error.cause,
-                attempts=1,
-            ))
-    return BatchResult(results=results, failures=failures)
+class _Deferred:
+    """A call that runs when its result is asked for."""
+
+    def __init__(self, fn, args) -> None:
+        self.fn = fn
+        self.args = args
+
+    def result(self, timeout: Optional[float] = None):
+        return self.fn(*self.args)
 
 
-class _ResilientSweep:
-    """State machine behind the resilient :func:`run_many` path.
+class _InlinePool:
+    """In-process stand-in for the worker pool (``processes == 1``).
+
+    Each submitted call runs when the sweep harvests it, so specs run
+    one at a time, in input order, in this process: a failure raises
+    its original exception chain, and a fail-fast sweep stops before
+    running the specs after it.  Nothing here can time out or crash.
+    """
+
+    def submit(self, fn, *args) -> _Deferred:
+        return _Deferred(fn, args)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
+
+
+class _Sweep:
+    """The state machine behind every :func:`run_many` call.
 
     Two modes, because a broken pool cannot say *which* task killed it
     (``BrokenProcessPool`` hits every in-flight future at once):
@@ -424,16 +387,19 @@ class _ResilientSweep:
       Deterministic :class:`RunFailedError` results are final; a
       *timeout* is charged to the run we were waiting on (nobody else is
       affected -- the hung worker is reclaimed by recycling the pool at
-      the end of the round); a *broken pool* charges nobody and drops to
-      isolation mode.
+      the end of the round); a *broken pool* charges nobody, keeps the
+      runs that had already finished, and drops to isolation mode.
     * **isolation** -- run pending specs one at a time on the pool, so a
       crash unambiguously identifies its spec.  Completed isolation runs
       are kept (real progress, just without parallelism); once a crash
       has been attributed -- retried or recorded -- the sweep returns to
       pooled mode for the remainder.
 
-    Deterministic runs make re-execution after a lost round safe: a
-    retry returns exactly the report the first attempt would have.
+    ``processes == 1`` drives the same machine over an
+    :class:`_InlinePool`.  :attr:`progress` counts runs as they are
+    harvested.  Deterministic runs make re-execution after a lost round
+    safe: a retry returns exactly the report the first attempt would
+    have.
     """
 
     def __init__(
@@ -444,6 +410,7 @@ class _ResilientSweep:
         retries: int,
         retry_backoff_s: float,
         fail_fast: bool,
+        status_line: bool = False,
     ) -> None:
         self.specs = specs
         self.processes = processes
@@ -451,11 +418,12 @@ class _ResilientSweep:
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
         self.fail_fast = fail_fast
+        self.progress = ProgressMonitor(len(specs), status_line=status_line)
         self.results: List[Optional[SimulationReport]] = [None] * len(specs)
         self.failures: Dict[int, RunFailure] = {}
         self.attempts = [0] * len(specs)
         self.pending = list(range(len(specs)))
-        self.pool: Optional[ProcessPoolExecutor] = None
+        self.pool = None
         self._backoff_rounds = 0
         #: Every backoff delay actually applied, in order.  The schedule
         #: is a pure function of ``retry_backoff_s`` and the number of
@@ -465,10 +433,13 @@ class _ResilientSweep:
         self.backoff_delays: List[float] = []
 
     # -- plumbing ------------------------------------------------------
-    def _fresh_pool(self) -> ProcessPoolExecutor:
+    def _fresh_pool(self):
         if self.pool is not None:
             _shutdown(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.processes)
+        self.pool = (
+            _InlinePool() if self.processes == 1
+            else ProcessPoolExecutor(max_workers=self.processes)
+        )
         return self.pool
 
     def _backoff(self) -> None:
@@ -485,6 +456,21 @@ class _ResilientSweep:
         if delay > 0:
             _sleep(delay)
 
+    def _harvest(self, index: int, future) -> None:
+        """Wait for one run; a deterministic failure is final (and, when
+        failing fast, re-raised as is).  Timeouts and pool breakage
+        propagate to the caller, which knows who to blame."""
+        self.progress.note_started(index)
+        self.attempts[index] += 1
+        try:
+            self.results[index] = future.result(timeout=self.timeout_s)
+        except RunFailedError as error:
+            self._final(index, error.summary, error.cause)
+            if self.fail_fast:
+                raise
+            return
+        self.progress.note_completed(index)
+
     def _final(self, index: int, error: str, tb: str) -> None:
         spec = self.specs[index]
         self.failures[index] = RunFailure(
@@ -495,6 +481,7 @@ class _ResilientSweep:
             traceback=tb,
             attempts=self.attempts[index],
         )
+        self.progress.note_failed(index)
 
     def _charge_transient(self, index: int, description: str) -> bool:
         """Charge a transient failure; True if the run may retry."""
@@ -517,40 +504,32 @@ class _ResilientSweep:
             index: pool.submit(run_spec, self.specs[index])
             for index in self.pending
         }
-        resolved: List[int] = []
         hung = False
         broken = False
         for index in self.pending:
-            spec = self.specs[index]
-            self.attempts[index] += 1
+            future = futures[index]
+            if broken and not (future.done() and future.exception() is None):
+                continue  # lost with the pool; only finished runs count
             try:
-                self.results[index] = futures[index].result(
-                    timeout=self.timeout_s
-                )
-                resolved.append(index)
-            except RunFailedError as error:
-                self._final(index, error.summary, error.cause)
-                resolved.append(index)
-                if self.fail_fast:
-                    break
+                self._harvest(index, future)
             except FutureTimeout:
                 # Only this run is implicated; the rest of the pool is
                 # still computing.  The hung worker is reclaimed when
                 # the round's pool is recycled below.
                 hung = True
-                if not self._charge_transient(index, self._timeout_text()):
-                    resolved.append(index)
+                self._charge_transient(index, self._timeout_text())
                 if self.fail_fast and self.failures:
                     break
-            except Exception:
+            except BrokenProcessPool:
                 # Pool breakage: every in-flight future fails together,
                 # so blame cannot be assigned here.  Charge nobody
                 # (undo this harvest's attempt) and isolate.
                 self.attempts[index] -= 1
                 broken = True
-                break
-        done = set(resolved) | set(self.failures)
-        self.pending = [i for i in self.pending if i not in done]
+        self.pending = [
+            i for i in self.pending
+            if self.results[i] is None and i not in self.failures
+        ]
         if broken:
             self._fresh_pool()
             return "isolate"
@@ -563,22 +542,16 @@ class _ResilientSweep:
     def _isolation_step(self) -> str:
         """Run exactly one pending spec alone; returns the next mode."""
         index = self.pending[0]
-        spec = self.specs[index]
         pool = self.pool if self.pool is not None else self._fresh_pool()
-        self.attempts[index] += 1
         try:
-            self.results[index] = pool.submit(
-                run_spec, spec
-            ).result(timeout=self.timeout_s)
-        except RunFailedError as error:
-            self._final(index, error.summary, error.cause)
+            self._harvest(index, pool.submit(run_spec, self.specs[index]))
         except FutureTimeout:
             retrying = self._charge_transient(index, self._timeout_text())
             self._fresh_pool()
             if retrying:
                 self._backoff()
                 return "isolate"  # same spec, alone, next step
-        except Exception as exc:
+        except BrokenProcessPool as exc:
             # Alone on the pool, so the crash is unambiguously this
             # spec's.  Attribution done -- parallelism can resume.
             description = (
@@ -590,8 +563,6 @@ class _ResilientSweep:
             if retrying:
                 self._backoff()
                 return "isolate"
-            self.pending.pop(0)
-            return "pooled"
         self.pending.pop(0)
         return "pooled"
 
@@ -608,232 +579,29 @@ class _ResilientSweep:
         finally:
             if self.pool is not None:
                 _shutdown(self.pool)
+            self.progress.close()
         ordered = [self.failures[i] for i in sorted(self.failures)]
         return BatchResult(results=list(self.results), failures=ordered)
 
 
-def _run_resilient(
-    specs: Sequence[RunSpec],
-    processes: int,
-    timeout_s: Optional[float],
-    retries: int,
-    retry_backoff_s: float,
-    fail_fast: bool,
-) -> BatchResult:
-    """The submit-based pool path with timeouts, retries and collection."""
-    return _ResilientSweep(
-        specs, processes, timeout_s, retries, retry_backoff_s, fail_fast
-    ).run()
-
-
-def _shutdown(pool: ProcessPoolExecutor) -> None:
+def _shutdown(pool) -> None:
     """Tear a pool down without waiting on abandoned (hung) work."""
     # Snapshot the workers first: shutdown() drops the executor's
     # ``_processes`` reference, and a timed-out run may still be
     # executing in one of them.  (ProcessPoolExecutor keeps no public
     # handle on its workers.)
     workers = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - pre-3.9 signature
-        pool.shutdown(wait=False)
+    pool.shutdown(wait=False, cancel_futures=True)
     # Forcibly end still-running workers so abandoned work cannot
     # outlive the sweep or deadlock interpreter exit (the pool's atexit
     # hook joins its management thread, which waits on its workers).
     for process in workers:
         if process.is_alive():
             process.terminate()
-
-
-# ----------------------------------------------------------------------
-# Streaming fleet aggregation (run_many(..., stream=...))
-# ----------------------------------------------------------------------
-def _stream_worker(queue, index: int, spec: RunSpec,
-                   checkpoint_s: Optional[float]) -> None:
-    """Run one spec, pushing messages instead of returning a report.
-
-    Messages (see :mod:`repro.obs.streaming`): ``("started", index)``,
-    zero or more ``("delta", index, RunTelemetry)`` increments, then
-    exactly one of ``("completed", index, (fields, delta, extras))`` or
-    ``("failed", index, (scenario, seed, traceback_text))``.  The
-    completed payload is small: the report's dataclass fields (flat
-    scalars -- telemetry deliberately travels as deltas, not attached),
-    the final telemetry increment, and the non-field report attributes.
-    """
-    queue.put(("started", index))
-    try:
-        config = _resolve_trace_dir(spec.config, spec.scenario)
-        simulation = build_scenario(spec.scenario, config=config)
-        # Telescoping deltas: each checkpoint ships what changed since
-        # the last.  The baseline has runs=0 so the first delta carries
-        # runs=1 and the rest runs=0 -- fleet totals count each run once.
-        last = RunTelemetry(runs=0)
-
-        def checkpoint() -> None:
-            nonlocal last
-            current = simulation.telemetry()
-            queue.put(("delta", index, current.diff(last)))
-            last = current
-
-        if checkpoint_s is not None:
-            # The checkpoint callback only reads counters, so the extra
-            # timer events never perturb the run (same argument as the
-            # metrics sampler; pinned by tests/sim/test_streaming.py).
-            simulation.sim.timers.every(checkpoint_s, checkpoint)
-        report = simulation.run()
-        extras = {
-            "invariant_violations": report.invariant_violations,
-            "resilience": report.resilience,
-        }
-        queue.put((
-            "completed", index,
-            (asdict(report), report.telemetry.diff(last), extras),
-        ))
-    except Exception as exc:
-        text = "".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__
-        )).rstrip()
-        queue.put(("failed", index,
-                   (spec.scenario, spec.config.seed, text)))
-
-
-class _StreamMaster:
-    """Master-side reducer of worker stream messages."""
-
-    def __init__(
-        self, specs: Sequence[RunSpec], config: StreamConfig,
-        on_error: str,
-    ) -> None:
-        self.specs = specs
-        self.on_error = on_error
-        self.aggregator = StreamAggregator()
-        self.progress = ProgressMonitor(
-            len(specs), status_line=config.status_line
-        )
-        self.results: List[Optional[SimulationReport]] = [None] * len(specs)
-        self.failures: Dict[int, RunFailure] = {}
-        self.remaining = len(specs)
-
-    def consume(self, message) -> None:
-        kind, index = message[0], message[1]
-        if kind == "started":
-            self.progress.note_started(index)
-        elif kind == "delta":
-            self.aggregator.add_delta(index, message[2])
-        elif kind == "completed":
-            fields, delta, extras = message[2]
-            self.aggregator.add_delta(index, delta)
-            report = SimulationReport(**fields)
-            report.telemetry = self.aggregator.run_telemetry(index)
-            report.invariant_violations = extras["invariant_violations"]
-            report.resilience = extras["resilience"]
-            self.results[index] = report
-            self.remaining -= 1
-            self.progress.note_completed(index)
-        elif kind == "failed":
-            scenario, seed, text = message[2]
-            self.record_failure(index, scenario, seed, text)
-        else:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"unknown stream message {kind!r}")
-
-    def record_failure(
-        self, index: int, scenario: str, seed: int, text: str
-    ) -> None:
-        self.failures[index] = RunFailure(
-            index=index,
-            scenario=scenario,
-            seed=seed,
-            error=text.strip().rsplit("\n", 1)[-1].strip(),
-            traceback=text,
-            attempts=1,
-        )
-        self.remaining -= 1
-        self.progress.note_failed(index)
-        if self.on_error == "raise":
-            self.progress.close()
-            raise RunFailedError(scenario, seed, text)
-
-    def finish(self) -> FleetResult:
-        self.progress.close()
-        return FleetResult(
-            reports=list(self.results),
-            failures=[self.failures[i] for i in sorted(self.failures)],
-            telemetry=self.aggregator.total,
-            progress=self.progress,
-        )
-
-
-def _run_streaming(
-    specs: Sequence[RunSpec],
-    processes: int,
-    config: StreamConfig,
-    on_error: str,
-) -> FleetResult:
-    """The streaming ``run_many`` path (see :mod:`repro.obs.streaming`)."""
-    master = _StreamMaster(specs, config, on_error)
-    if processes <= 1 or len(specs) < 2:
-        # Serial: same protocol through an in-process queue, so the
-        # aggregation/progress machinery is identical either way.
-        import queue as queue_module
-
-        channel = queue_module.SimpleQueue()
-        for index, spec in enumerate(specs):
-            _stream_worker(channel, index, spec, config.checkpoint_s)
-            while not channel.empty():
-                master.consume(channel.get())
-        return master.finish()
-
-    import multiprocessing
-    import queue as queue_module
-
-    with multiprocessing.Manager() as manager:
-        # A manager queue proxy (unlike a raw mp.Queue) pickles through
-        # pool.submit, at the price of one broker process.
-        channel = manager.Queue()
-        pool = ProcessPoolExecutor(max_workers=processes)
-        try:
-            futures = {
-                index: pool.submit(
-                    _stream_worker, channel, index, spec,
-                    config.checkpoint_s,
-                )
-                for index, spec in enumerate(specs)
-            }
-            while master.remaining:
-                try:
-                    master.consume(channel.get(timeout=1.0))
-                    continue
-                except queue_module.Empty:
-                    pass
-                # Queue quiet: look for workers that died without
-                # posting "failed" (a crashed process / broken pool).
-                # Drain stragglers first -- a worker can post its final
-                # message and then die before the future resolves.
-                while True:
-                    try:
-                        master.consume(channel.get_nowait())
-                    except queue_module.Empty:
-                        break
-                for index, future in list(futures.items()):
-                    if master.results[index] is not None:
-                        del futures[index]
-                        continue
-                    if index in master.failures:
-                        del futures[index]
-                        continue
-                    if future.done() and future.exception() is not None:
-                        spec = specs[index]
-                        exc = future.exception()
-                        master.record_failure(
-                            index, spec.scenario, spec.config.seed,
-                            f"{type(exc).__name__}: worker process died "
-                            f"before reporting ({exc or 'no detail'})",
-                        )
-                        del futures[index]
-        finally:
-            _shutdown(pool)
-            master.progress.close()
-    return master.finish()
+    # Reap them here: a worker counts toward RUSAGE_CHILDREN (peak
+    # memory) only once joined, and none may outlive the sweep.
+    for process in workers:
+        process.join()
 
 
 def combined_telemetry(

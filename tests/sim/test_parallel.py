@@ -94,6 +94,8 @@ def test_run_many_serial_surfaces_the_failing_spec():
         run_many(specs, processes=1)
     assert excinfo.value.scenario == "no-such-scenario"
     assert excinfo.value.seed == 5
+    # In process, the original exception stays chained.
+    assert isinstance(excinfo.value.__cause__, KeyError)
 
 
 def test_combined_telemetry_reduces_a_batch():

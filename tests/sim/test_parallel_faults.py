@@ -102,7 +102,7 @@ def test_retry_backoff_schedule_is_deterministic(monkeypatch):
 
     slept = []
     monkeypatch.setattr(parallel, "_sleep", slept.append)
-    sweep = parallel._ResilientSweep(
+    sweep = parallel._Sweep(
         [], processes=1, timeout_s=None, retries=4,
         retry_backoff_s=0.5, fail_fast=False,
     )
@@ -113,7 +113,7 @@ def test_retry_backoff_schedule_is_deterministic(monkeypatch):
     # Zero backoff still records the (all-zero) schedule, but never
     # touches the sleep hook at all.
     slept.clear()
-    instant = parallel._ResilientSweep(
+    instant = parallel._Sweep(
         [], processes=1, timeout_s=None, retries=2,
         retry_backoff_s=0.0, fail_fast=False,
     )
@@ -134,7 +134,7 @@ def test_pool_retries_record_their_backoff_schedule(monkeypatch):
     slept = []
     monkeypatch.setattr(parallel, "_sleep", slept.append)
     schedules = []
-    original = parallel._ResilientSweep.run
+    original = parallel._Sweep.run
 
     def record(self):
         try:
@@ -142,7 +142,7 @@ def test_pool_retries_record_their_backoff_schedule(monkeypatch):
         finally:
             schedules.append(list(self.backoff_delays))
 
-    monkeypatch.setattr(parallel._ResilientSweep, "run", record)
+    monkeypatch.setattr(parallel._Sweep, "run", record)
     specs = [_GOOD[0], RunSpec("_poison-exit", ScenarioConfig(seed=5))]
     batch = run_many(
         specs, processes=2, on_error="collect",
@@ -309,3 +309,32 @@ def test_timeout_abandons_hung_runs():
     [failure] = batch.failures
     assert failure.scenario == "_poison-hang"
     assert "TimeoutError" in failure.error
+
+
+@pytest.mark.slow
+def test_pool_crash_reruns_only_the_runs_it_interrupted(tmp_path):
+    """A crash re-executes at most the runs in flight beside it, never
+    the runs that had already completed (each run writes one trace)."""
+    trace_dir = str(tmp_path / "traces") + os.sep
+    good = [
+        RunSpec("two-region-hnspf", ScenarioConfig(
+            duration_s=20.0, warmup_s=5.0, seed=seed, trace=trace_dir,
+        ))
+        for seed in range(1, 7)
+    ]
+    processes = 2
+    specs = good + [RunSpec("_poison-exit", ScenarioConfig(seed=13))]
+    with pytest.raises(RunFailedError) as excinfo:
+        run_many(specs, processes=processes)
+    assert excinfo.value.scenario == "_poison-exit"
+    assert len(os.listdir(trace_dir)) <= len(good) + processes
+
+
+@pytest.mark.slow
+def test_pool_collect_mode_leaves_no_worker_behind():
+    import multiprocessing
+
+    specs = _GOOD[:2] + [RunSpec("_poison-exit", ScenarioConfig(seed=5))]
+    batch = run_many(specs, processes=2, on_error="collect")
+    assert len(batch.failures) == 1
+    assert multiprocessing.active_children() == []

@@ -1,17 +1,12 @@
-"""Tests for streaming fleet aggregation (``run_many(..., stream=)``)."""
+"""Tests for ``run_many(..., stream=)``: a FleetResult view of the sweep."""
 
 import io
 from dataclasses import asdict
 
 import pytest
 
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
-from repro.obs.telemetry import RunTelemetry
+from repro.faults import FaultEvent, FaultPlan
+from repro.obs.streaming import FleetResult, ProgressMonitor
 from repro.sim import (
     RunSpec,
     ScenarioConfig,
@@ -38,24 +33,8 @@ def _comparable(telemetry):
 
 
 # ----------------------------------------------------------------------
-# Master-side reducers
+# Progress monitor
 # ----------------------------------------------------------------------
-def test_stream_aggregator_merges_deltas_per_run_and_fleet():
-    aggregator = StreamAggregator()
-    first = RunTelemetry(runs=1, events_processed=10)
-    second = RunTelemetry(runs=0, events_processed=5)
-    aggregator.add_delta(0, first)
-    aggregator.add_delta(0, second)
-    aggregator.add_delta(1, RunTelemetry(runs=1, events_processed=100))
-    assert aggregator.deltas_received == 3
-    assert aggregator.run_telemetry(0).events_processed == 15
-    assert aggregator.run_telemetry(0).runs == 1
-    assert aggregator.run_telemetry(2) is None
-    assert aggregator.total.runs == 2
-    assert aggregator.total.events_processed == 115
-    assert set(aggregator.per_run()) == {0, 1}
-
-
 def test_progress_monitor_counts_and_eta():
     clock = iter([0.0, 10.0, 10.0, 10.0, 10.0]).__next__
     monitor = ProgressMonitor(4, clock=clock)
@@ -82,15 +61,6 @@ def test_progress_monitor_status_line_renders_and_closes():
     monitor.close()
 
 
-def test_stream_config_validation():
-    with pytest.raises(ValueError):
-        StreamConfig(checkpoint_s=0.0)
-    with pytest.raises(ValueError):
-        run_many(_specs(2), stream=True, retries=1)
-    with pytest.raises(ValueError):
-        run_many(_specs(2), stream=True, timeout_s=5.0)
-
-
 # ----------------------------------------------------------------------
 # End-to-end equivalence (acceptance criterion)
 # ----------------------------------------------------------------------
@@ -108,7 +78,7 @@ def test_streaming_equals_combined_telemetry_pooled(batch_baseline):
     assert isinstance(fleet, FleetResult)
     assert fleet.ok
     assert _comparable(fleet.telemetry) == _comparable(combined)
-    # The rebuilt reports are the batch path's reports, field for field.
+    # The fleet's reports are the batch path's reports, field for field.
     for rebuilt, reference in zip(fleet.reports, reports):
         assert asdict(rebuilt) == asdict(reference)
         assert rebuilt.telemetry is not None
@@ -121,27 +91,6 @@ def test_streaming_equals_combined_telemetry_serial(batch_baseline):
     assert _comparable(fleet.telemetry) == _comparable(combined)
     for rebuilt, reference in zip(fleet.reports, reports):
         assert asdict(rebuilt) == asdict(reference)
-
-
-def test_checkpointed_streaming_preserves_results(batch_baseline):
-    """Periodic deltas leave reports bit-identical; only the kernel
-    event counters additionally count the checkpoint timer's own ticks."""
-    specs, reports, combined = batch_baseline
-    fleet = run_many(
-        specs, processes=1, stream=StreamConfig(checkpoint_s=10.0)
-    )
-    for rebuilt, reference in zip(fleet.reports, reports):
-        assert asdict(rebuilt) == asdict(reference)
-    # Several deltas per run flowed home, not one.
-    assert fleet.progress.completed == len(specs)
-    streamed = _comparable(fleet.telemetry)
-    expected = _comparable(combined)
-    kernel = ("events_processed", "events_heap", "events_calendar",
-              "events_pending")
-    for name in kernel:
-        streamed.pop(name)
-        expected.pop(name)
-    assert streamed == expected
 
 
 def test_streaming_collects_failures():
@@ -165,3 +114,63 @@ def test_streaming_raises_on_first_failure_by_default():
     specs = [RunSpec("_poison-fail", ScenarioConfig(**_QUICK, seed=3))]
     with pytest.raises(RunFailedError, match="_poison-fail"):
         run_many(specs, processes=1, stream=True)
+
+
+# ----------------------------------------------------------------------
+# The fleet is a view over the one sweep
+# ----------------------------------------------------------------------
+def test_fleet_reports_are_the_worker_reports():
+    """Reports keep every attribute a run attaches, and the fleet
+    telemetry is exactly their combined telemetry."""
+    plan = FaultPlan(events=(
+        FaultEvent(10.0, "fail-circuit", link_id=0),
+        FaultEvent(15.0, "restore-circuit", link_id=0),
+    ))
+    specs = [
+        RunSpec("two-region-hnspf", ScenarioConfig(
+            **_QUICK, seed=seed, faults=plan, check_invariants=True,
+        ))
+        for seed in (1, 2)
+    ]
+    fleet = run_many(specs, processes=1, stream=True)
+    for report in fleet.reports:
+        assert report.telemetry is not None
+        assert report.resilience is not None
+        assert report.invariant_violations == []
+    combined = combined_telemetry(fleet.reports)
+    assert fleet.telemetry.to_dict() == combined.to_dict()
+    assert fleet.progress.started == fleet.progress.completed == 2
+
+
+@pytest.mark.slow
+def test_pooled_streaming_blames_only_the_crashing_spec():
+    """A worker crash is pinned on its spec; the runs that shared the
+    broken pool with it complete and equal their serial runs."""
+    specs = _specs(3) + [
+        RunSpec("_poison-exit", ScenarioConfig(**_QUICK, seed=13))
+    ]
+    fleet = run_many(specs, processes=2, stream=True, on_error="collect")
+    assert [r is not None for r in fleet.reports] == \
+        [True, True, True, False]
+    [failure] = fleet.failures
+    assert (failure.index, failure.scenario) == (3, "_poison-exit")
+    serial = run_many(specs[:3], processes=1)
+    assert [asdict(r) for r in fleet.reports[:3]] == \
+        [asdict(r) for r in serial]
+    assert fleet.telemetry.runs == 3
+    assert (fleet.progress.completed, fleet.progress.failed) == (3, 1)
+
+
+@pytest.mark.slow
+def test_streaming_retries_transient_failures():
+    specs = _specs(1) + [
+        RunSpec("_poison-exit", ScenarioConfig(**_QUICK, seed=5))
+    ]
+    fleet = run_many(
+        specs, processes=2, stream=True, on_error="collect",
+        retries=1, retry_backoff_s=0.0,
+    )
+    [failure] = fleet.failures
+    assert failure.attempts == 2
+    assert fleet.reports[0] is not None
+
