@@ -125,8 +125,8 @@ class BabblingNode:
     kind = "babbling-node"
 
     node_id: int
-    #: Mean updates per second (the honest cadence is one per link per
-    #: 10-second measurement interval).
+    #: Mean updates per second (the honest cadence is at most one per
+    #: node per 10-second measurement interval).
     rate_per_s: float = 10.0
     start_s: float = 0.0
     until_s: Optional[float] = None

@@ -282,7 +282,7 @@ class FaultInjector:
             # Sequence bit-flip; the cost is the node's current honest
             # advertisement, so only the sequence space is poisoned.
             sequence = (
-                psn.flooding._own_sequence.get(link_id, 0) + 1
+                psn.flooding._own_sequence + 1
             ) | (1 << rng.randint(8, 17))
             cost = psn._advertised.get(link_id, 1)
         elif mode < 0.85:
@@ -292,7 +292,7 @@ class FaultInjector:
             cost = rng.randrange(100_000, 2 ** 20)
         else:
             sequence = (
-                psn.flooding._own_sequence.get(link_id, 0) + 1
+                psn.flooding._own_sequence + 1
             ) | (1 << rng.randint(8, 17))
             cost = rng.randrange(100_000, 2 ** 20)
         psn.emit_forged_update(link_id, cost, sequence=sequence)
@@ -412,22 +412,19 @@ class FaultInjector:
 
         simulation = self.simulation
         seen = psn.flooding._highest_seen
-        for link in simulation.network.links:
-            if link.src == psn.node_id:
+        for owner in simulation.psns.values():
+            if owner is psn:
                 continue
-            owner = simulation.psns[link.src]
-            own_seq = owner.flooding._own_sequence.get(link.link_id, 0)
-            recorded = seen.get((link.src, link.link_id), 0)
+            own_seq = owner.flooding._own_sequence
+            recorded = seen.get(owner.node_id, 0)
             if recorded > own_seq:
                 return True
             if recorded == own_seq and own_seq > 0:
-                advertised = owner._advertised.get(link.link_id)
-                if advertised is None:
-                    continue
-                applied = (
-                    UNREACHABLE if advertised >= DOWN_COST
-                    else float(advertised)
-                )
-                if psn.costs[link.link_id] != applied:
-                    return True
+                for link_id, advertised in owner._advertised.items():
+                    applied = (
+                        UNREACHABLE if advertised >= DOWN_COST
+                        else float(advertised)
+                    )
+                    if psn.costs[link_id] != applied:
+                        return True
         return False

@@ -9,9 +9,10 @@ protocol, not just properties of the transform in isolation:
 * **movement limits** -- between consecutive reports the cost moves at
   most ``max_up`` per elapsed measurement period up and ``max_down``
   down ("a little more than a half-hop", Figure 3's Limit_Movement);
-* **suppression** -- a change below the significance threshold ("a
-  little less than a half-hop") generates no update, except as the
-  threshold decays toward the 50-second re-advertisement cap;
+* **suppression** -- a PSN sends no update unless some line's change
+  reaches its significance threshold ("a little less than a half-hop"),
+  which decays with the time since the PSN's last update toward the
+  50-second re-advertisement cap, or a line failed or was restored;
 * **easing in** -- a restored line re-enters service advertising its
   *maximum* cost and pulls traffic in gradually;
 * **loop freedom** -- once the network is quiet, the union of the
@@ -126,10 +127,12 @@ class InvariantMonitor:
         self.violations: List[InvariantViolation] = []
         self.checks_run = 0
         self.loop_checks_run = 0
-        #: Index into ``stats.cost_history`` of the next unseen entry.
+        #: Index into ``stats.update_log`` of the next unseen update.
         self._index = 0
         #: link_id -> (t, cost) of its latest advertisement.
         self._last_advert: Dict[int, Tuple[float, int]] = {}
+        #: node id -> time of its latest update.
+        self._last_update: Dict[int, float] = {}
         self._last_loop_key: Optional[tuple] = None
 
         metric = simulation.metric
@@ -181,11 +184,17 @@ class InvariantMonitor:
         """
         self.checks_run += 1
         stats = self.simulation.stats
-        entries = stats.cost_history[self._index:]
-        self._index = len(stats.cost_history)
-        for t, link_id, cost in entries:
-            self._check_advertisement(t, link_id, cost)
-        if entries:
+        log = stats.update_log
+        history = stats.cost_history
+        new = range(self._index, len(log))
+        self._index = len(log)
+        for k in new:
+            t, node, first = log[k]
+            end = log[k + 1][2] if k + 1 < len(log) else len(history)
+            self._check_update(
+                t, node, [(link, cost) for _t, link, cost in history[first:end]]
+            )
+        if new:
             return  # still converging: transient loops are legitimate
         if any(
             psn._pending_updates for psn in self.simulation.psns.values()
@@ -196,11 +205,64 @@ class InvariantMonitor:
             self._last_loop_key = key
             self._check_loops()
 
-    def _check_advertisement(self, t: float, link_id: int, cost: int) -> None:
+    def _check_update(
+        self, t: float, node: int, lines: List[Tuple[int, int]]
+    ) -> None:
+        """Check one node update: each line, then the update's trigger."""
+        previous_update = self._last_update.get(node)
+        self._last_update[node] = t
+        periods = 1
+        if previous_update is not None:
+            # Elapsed measurement periods since the node's last update.
+            # Between two interval closes this is exact; after an
+            # asynchronous (fault-time) update ceil() rounds the fraction
+            # up, which only loosens the bound -- never a false violation.
+            periods = max(
+                1, math.ceil((t - previous_update) / self.interval_s - _EPS)
+            )
+        justified = previous_update is None
+        largest = None
+        for link_id, cost in lines:
+            change = self._check_advertisement(t, link_id, cost)
+            if change is None:
+                justified = True  # first report, failure or restore
+                continue
+            threshold = self._threshold.get(link_id)
+            if threshold is None:
+                justified = True  # unknown metric: nothing to enforce
+                continue
+            initial, decay = threshold
+            required = max(initial - (periods - 1) * decay, 0.0)
+            if abs(change) >= required - _EPS:
+                justified = True
+            elif largest is None or abs(change) > abs(largest[0]):
+                largest = (change, required)
+        if not justified and largest is not None:
+            change, required = largest
+            self._record(
+                t, "suppression",
+                f"update went out with no line past its significance "
+                f"threshold (largest change {change:+d}, threshold "
+                f"{required:.1f} after {periods} period(s))",
+                node=node,
+            )
+
+    def _check_advertisement(
+        self, t: float, link_id: int, cost: int
+    ) -> Optional[int]:
+        """Check one line's advertised cost; return its change.
+
+        ``None`` when there is no change to judge: the line's first
+        report, or a failure or restore.
+        """
         previous = self._last_advert.get(link_id)
         self._last_advert[link_id] = (t, cost)
         if cost >= DOWN_COST:
-            return  # a line declared dead carries no metric cost
+            # A line declared dead carries no metric cost; re-declaring
+            # it is an unchanged line.
+            if previous is not None and previous[1] >= DOWN_COST:
+                return 0
+            return None
         bounds = self._bounds.get(link_id)
         link = self.simulation.network.link(link_id)
         if bounds is not None:
@@ -213,7 +275,7 @@ class InvariantMonitor:
                     node=link.src, link=link_id,
                 )
         if previous is None:
-            return  # boot advertisement: nothing to compare against
+            return None  # boot advertisement: nothing to compare against
         t_prev, c_prev = previous
         if c_prev >= DOWN_COST:
             # First advertisement after a restore: the paper's easing-in.
@@ -225,12 +287,10 @@ class InvariantMonitor:
                     f"initial (ease-in) cost {expected}",
                     node=link.src, link=link_id,
                 )
-            return
+            return None
         delta = cost - c_prev
-        # Elapsed measurement periods between the two reports.  Between
-        # two interval closes this is exact; after an asynchronous
-        # (fault-time) advertisement ceil() rounds the fraction up, which
-        # only loosens the bound -- never a false violation.
+        # Elapsed measurement periods between the two reports (rounded
+        # up after an asynchronous report, as in _check_update).
         periods = max(1, math.ceil((t - t_prev) / self.interval_s - _EPS))
         movement = self._movement.get(link_id)
         if movement is not None:
@@ -249,17 +309,7 @@ class InvariantMonitor:
                     f"{max_down}/period",
                     node=link.src, link=link_id,
                 )
-        threshold = self._threshold.get(link_id)
-        if threshold is not None:
-            initial, decay = threshold
-            required = max(initial - (periods - 1) * decay, 0.0)
-            if abs(delta) < required - _EPS:
-                self._record(
-                    t, "suppression",
-                    f"update of {delta:+d} went out below the significance "
-                    f"threshold ({required:.1f} after {periods} period(s))",
-                    node=link.src, link=link_id,
-                )
+        return delta
 
     # ------------------------------------------------------------------
     # Loop freedom

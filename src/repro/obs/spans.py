@@ -6,9 +6,9 @@ is.  Flat counters can't answer that; this module reconstructs the
 causal story from the event trace.
 
 Every routing update already carries a natural lineage id: the
-``(origin, link_id, sequence)`` triple is unique per generated update
+``(origin, sequence)`` pair is unique per generated update
 (:meth:`~repro.routing.flooding.RoutingUpdate.key` plus the sequence
-number), and PR 8 tags every update-related trace event with
+number), and every update-related trace event is tagged with
 ``origin``/``seq`` so the events of one flood can be grouped without
 any new wire fields.  :func:`build_update_spans` folds a trace into
 :class:`UpdateSpan` objects -- one per generated update -- whose
@@ -55,9 +55,9 @@ from repro.obs.tracer import (
     UPDATE_SUPPRESSED,
 )
 
-#: A flood lineage: the ``(origin, link_id, sequence)`` triple that
-#: uniquely identifies one generated routing update.
-Lineage = Tuple[int, int, int]
+#: A flood lineage: the ``(origin, sequence)`` pair that uniquely
+#: identifies one generated routing update.
+Lineage = Tuple[int, int]
 
 #: Event kinds that carry lineage tags and feed span construction.
 SPAN_EVENT_KINDS = (
@@ -96,10 +96,10 @@ class UpdateSpan:
     """
 
     origin: int
-    link_id: int
     sequence: int
-    #: Advertised cost, if the generation event was in the trace.
-    cost: Optional[float] = None
+    #: The advertised ``(link_id, cost)`` lines, if the generation event
+    #: was in the trace.
+    entries: Optional[Tuple[Tuple[int, int], ...]] = None
     #: Generation time (``None`` for a partial trace missing the root).
     generated_t: Optional[float] = None
     #: First acceptance per node: ``[(t, node), ...]`` in trace order.
@@ -115,12 +115,12 @@ class UpdateSpan:
 
     @property
     def lineage(self) -> Lineage:
-        return (self.origin, self.link_id, self.sequence)
+        return (self.origin, self.sequence)
 
     @property
     def lineage_id(self) -> str:
         """The lineage as a compact string (Chrome-trace span id)."""
-        return f"{self.origin}/{self.link_id}/{self.sequence}"
+        return f"{self.origin}/{self.sequence}"
 
     @property
     def nodes_reached(self) -> int:
@@ -163,9 +163,9 @@ def build_update_spans(events: Iterable) -> List[UpdateSpan]:
 
     ``events`` may be :class:`~repro.obs.tracer.TraceEvent` objects or
     the plain dicts a JSONL trace loads into -- both carry the same
-    keys.  Events without a ``seq`` tag (pre-PR-8 traces, non-update
-    kinds) are ignored, so the builder is safe on any trace.  Spans are
-    returned in first-appearance order.
+    keys.  Events without ``origin``/``seq`` tags (non-update kinds) are
+    ignored, so the builder is safe on any trace.  Spans are returned in
+    first-appearance order.
     """
     spans: Dict[Lineage, UpdateSpan] = {}
     seen_accept: Dict[Lineage, set] = {}
@@ -180,21 +180,21 @@ def build_update_spans(events: Iterable) -> List[UpdateSpan]:
             continue
         node = event.get("node")
         t = event.get("t", 0.0)
-        # Every span event's ``link`` is the *lineage* link (the one
-        # whose cost the update advertises); the wire an ack or a
-        # suppression crossed rides separately in ``data["on"]``.
-        link = event.get("link")
-        if link is None:
-            continue
-        lineage: Lineage = (origin, link, seq)
+        # The wire an ack or a suppression crossed rides in ``on``.
+        lineage: Lineage = (origin, seq)
         span = spans.get(lineage)
         if span is None:
-            span = UpdateSpan(origin=origin, link_id=link, sequence=seq)
+            span = UpdateSpan(origin=origin, sequence=seq)
             spans[lineage] = span
             seen_accept[lineage] = set()
         if kind == UPDATE_GENERATED:
             span.generated_t = t
-            span.cost = event.get("value")
+            entries = event.get("entries")
+            if entries is not None:
+                # A JSONL round trip turns the pairs into lists.
+                span.entries = tuple(
+                    (link, cost) for link, cost in entries
+                )
         elif kind == UPDATE_ACCEPTED:
             if node not in seen_accept[lineage]:
                 seen_accept[lineage].add(node)
@@ -329,9 +329,8 @@ def to_chrome_trace(
                 "ts": begin_us,
                 "args": {
                     "origin": span.origin,
-                    "link": span.link_id,
                     "seq": span.sequence,
-                    "cost": span.cost,
+                    "entries": [list(entry) for entry in span.entries or ()],
                     "fan_out": span.fan_out,
                     "duplicates": span.duplicates,
                     "flood_suppressed": span.flood_suppressed,

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 # ----------------------------------------------------------------------
 # Event kinds (the trace schema; see docs/observability.md)
 # ----------------------------------------------------------------------
-#: A node's advertised cost for one of its links changed.
+#: A node's update reported the cost of one of its links.
 COST_CHANGE = "cost-change"
 #: A routing update was originated (flood root).
 UPDATE_GENERATED = "update-generated"
@@ -48,7 +48,8 @@ UPDATE_FLOODED = "update-flooded"
 #: has it (per-neighbour sequence windows; ``data["on"]`` is the link it
 #: would have crossed).
 FLOOD_SUPPRESSED = "flood-suppressed"
-#: An incremental SPF repair ran; ``value`` is 1.0 if the tree changed.
+#: An incremental SPF repair applied one update; ``value`` is its line
+#: count.
 SPF_RECOMPUTE = "spf-recompute"
 #: A batched SPF repair pass ran; ``value`` is the changes absorbed.
 SPF_BATCH_REPAIR = "spf-batch-repair"

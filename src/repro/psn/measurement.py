@@ -2,11 +2,12 @@
 
 The PSN measures the delay of every packet it forwards and averages per
 outgoing link over a ten-second period.  The average is compared with the
-last *reported* value; if the difference passes a significance criterion a
-routing update goes out.  *"The significance criterion gets adjusted
-downward each time it is not satisfied ... the maximum time between
-routing updates for each PSN is 50 seconds"* -- so even an idle, unchanged
-link re-advertises its cost every 50 s for reliability.
+last *reported* value; if the difference on any line passes its
+significance criterion, the PSN sends a routing update covering all of
+its lines.  *"The significance criterion gets adjusted downward each time
+it is not satisfied ... the maximum time between routing updates for each
+PSN is 50 seconds"* -- so even an idle, unchanged PSN re-advertises its
+lines every 50 s for reliability.
 """
 
 from __future__ import annotations
@@ -93,3 +94,11 @@ class SignificanceCriterion:
             return True
         self.threshold = max(self.threshold - self._decay, 0.0)
         return False
+
+    def rearm(self) -> None:
+        """Restart the decay: the line's cost was just reported.
+
+        A PSN's update carries every line, so an update triggered by one
+        line re-arms the criteria of all of them.
+        """
+        self.threshold = self.initial_threshold

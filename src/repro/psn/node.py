@@ -3,8 +3,9 @@
 Each :class:`Psn` owns the transmitters of its outgoing links, a private
 cost table with an incrementally-maintained SPF tree, flooding state, and
 per-link metric state.  A measurement process closes a ten-second
-averaging interval per link, runs the metric, and floods an update when
-the change is significant (or the 50-second cap expires).
+averaging interval per link and runs the metric; when any line's change
+is significant (or the 50-second cap expires), the PSN floods one update
+carrying the fresh cost of every one of its lines.
 
 Routing-update packets are processed the instant they are delivered --
 *"routing update processing is a high priority process within the PSN"* --
@@ -63,7 +64,7 @@ MAX_HOPS = 32
 #: Size of a routing-update packet on the wire (bits).
 UPDATE_PACKET_BITS = 1000.0
 
-#: Size of a per-link update acknowledgement (bits).
+#: Size of an update acknowledgement (bits).
 ACK_PACKET_BITS = 200.0
 
 #: How often unacknowledged updates are retransmitted (seconds).  Rosen's
@@ -162,6 +163,10 @@ class Psn:
         this node's SPF, forwarding and measurement entry points are
         wrapped for per-phase wall-time attribution (``profile=True``
         runs only -- wrapping changes timing, never behaviour).
+    idle_costs:
+        The network's idle cost table
+        (:meth:`~repro.routing.spf.CostTable.from_metric`), built once
+        per simulation; each node starts from its own copy.
     """
 
     def __init__(
@@ -184,6 +189,8 @@ class Psn:
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseProfiler] = None,
+        *,
+        idle_costs: CostTable,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -205,7 +212,7 @@ class Psn:
                 window=flow_control_window, send=self._inject_now
             )
 
-        self.costs = CostTable.from_metric(network, metric)
+        self.costs = idle_costs.copy()
         self.flooding = FloodingState(
             network, node_id, neighbor_windows=incremental_flooding
         )
@@ -214,7 +221,7 @@ class Psn:
         #: windows (they carry the en-route proof); without them there
         #: is never a proof, so the knob degrades to off.
         self._dup_ack = dup_ack_suppression and incremental_flooding
-        #: Owed acknowledgements: (out link id, update key) -> the
+        #: Owed acknowledgements: (out link id, origin) -> the
         #: sequence whose en-route copy justified skipping an explicit
         #: duplicate ack.  Settled silently when the neighbour's ack
         #: arrives, paid explicitly when the wire-time suppressor
@@ -312,19 +319,14 @@ class Psn:
         )
         # Reliable update delivery (Rosen's protocol): every update sent
         # on a link is retransmitted until the neighbour acknowledges it.
-        # (link_id, update.key()) -> (update, send time).
+        # (link_id, origin) -> (update, send time).
         self._unacked: Dict[tuple, tuple] = {}
         sim.timers.every(UPDATE_RETRANSMIT_S, self._retransmit_tick)
         # A booting PSN floods its links' initial (ease-in) costs --
         # otherwise the rest of the network would assume idle costs and
         # the ease-in would only exist in the owner's imagination.
         boot_jitter = streams.uniform(f"psn-{node_id}-boot", 0.0, 0.1)
-        sim.call_in(boot_jitter, self._boot_advertise)
-
-    def _boot_advertise(self) -> None:
-        for link_id in self.transmitters:
-            if self.network.link(link_id).up:
-                self.advertise(link_id, self._advertised[link_id])
+        sim.call_in(boot_jitter, self.advertise)
 
     def _init_link_state(self, link: Link) -> None:
         zero_load = (
@@ -433,6 +435,8 @@ class Psn:
     # Measurement / update generation
     # ------------------------------------------------------------------
     def _close_measurement_interval(self) -> None:
+        fresh: Dict[int, int] = {}
+        significant = False
         for link_id, transmitter in self.transmitters.items():
             link = self.network.link(link_id)
             utilization = transmitter.take_utilization(
@@ -445,22 +449,48 @@ class Psn:
             cost = self.metric.measured_cost(
                 link, self._metric_state[link_id], average_delay
             )
+            fresh[link_id] = cost
+            # Every line's criterion sees its change (and decays when it
+            # is not met), whether or not another line already fired.
             change = cost - self._advertised[link_id]
             if self._criterion[link_id].should_report(change):
-                self.advertise(link_id, cost)
+                significant = True
+        if significant:
+            self.advertise(fresh)
 
-    def advertise(self, link_id: int, cost: int) -> None:
-        """Originate and flood an update about one of our own links."""
+    def advertise(self, fresh: Optional[Dict[int, int]] = None) -> None:
+        """Originate and flood one update carrying every line's cost.
+
+        A line's entry is its cost in ``fresh`` when given there, the
+        line-dead cost when it is down, and otherwise its last
+        advertised cost.  The update refreshes every line, so each one
+        is marked advertised and its significance criterion re-armed.
+        """
         if self.control_stuck:
             return  # a frozen control plane reports nothing
-        update = self.flooding.originate(link_id, cost)
-        self._advertised[link_id] = cost
-        self.stats.update_originated(link_id, cost, self.sim.now)
+        links = self.network.links
+        advertised = self._advertised
+        entries = []
+        for link_id in self.transmitters:
+            if not links[link_id].up:
+                cost = DOWN_COST
+            elif fresh is not None and link_id in fresh:
+                cost = fresh[link_id]
+            else:
+                cost = advertised[link_id]
+            advertised[link_id] = cost
+            self._criterion[link_id].rearm()
+            entries.append((link_id, cost))
+        update = self.flooding.originate(tuple(entries))
+        self.stats.update_originated(
+            self.node_id, update.entries, self.sim.now
+        )
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_GENERATED,
-                node=self.node_id, link=link_id, value=cost,
-                data={"origin": update.origin, "seq": update.sequence},
+                node=self.node_id, value=len(update.entries),
+                data={"origin": update.origin, "seq": update.sequence,
+                      "entries": update.entries},
             )
         self._apply_update(update)
         self._flood(update, arrived_on=None)
@@ -477,18 +507,18 @@ class Psn:
         if self._incremental_flooding:
             # The neighbour forwarded this, so it has it: remember that
             # (window), and treat it as an implicit ack for any older
-            # copy of the same key still awaiting retransmission toward
-            # that neighbour -- its information is superseded anyway.
+            # update from the same origin still awaiting retransmission
+            # toward that neighbour -- its information is superseded.
             # (Bookkeeping only -- no events -- so running it before the
             # ack decision below changes nothing except that the
             # decision sees current windows.)
             sent_on = via.reverse_id
             self.flooding.note_received(sent_on, update)
             if sent_on is not None:
-                pending = self._unacked.get((sent_on, update.key()))
+                pending = self._unacked.get((sent_on, update.origin))
                 if pending is not None and \
                         pending[0].sequence <= update.sequence:
-                    del self._unacked[(sent_on, update.key())]
+                    del self._unacked[(sent_on, update.origin)]
         # Acknowledge on the reverse link -- duplicates too, since the
         # duplicate usually means our earlier ACK was lost -- unless
         # duplicate-ack suppression can prove the explicit ack redundant.
@@ -505,7 +535,7 @@ class Psn:
                 if self._trace is not None:
                     self._trace.emit(
                         self.sim.now, UPDATE_REJECTED,
-                        node=self.node_id, link=update.link_id,
+                        node=self.node_id,
                         data={"reason": reason, "origin": update.origin,
                               "seq": update.sequence, "from": via.src},
                     )
@@ -514,14 +544,14 @@ class Psn:
             if self._trace is not None:
                 self._trace.emit(
                     self.sim.now, UPDATE_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
+                    node=self.node_id,
                     data={"origin": update.origin, "seq": update.sequence},
                 )
             return
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_ACCEPTED,
-                node=self.node_id, link=update.link_id, value=update.cost,
+                node=self.node_id,
                 data={"origin": update.origin, "seq": update.sequence},
             )
         if self.defense is not None:
@@ -534,8 +564,9 @@ class Psn:
 
         True only when the sender provably does not need it: either it
         already acknowledged our own copy of this sequence (so its
-        retransmission state for the key is long cleared), or our copy
-        was queued toward it and its arrival will be the implicit ack.
+        retransmission state for the origin is long cleared), or our
+        copy was queued toward it and its arrival will be the implicit
+        ack.
         The latter skip records an owed ack; see ``dup_ack_suppression``
         in the class docstring for how the debt is always repaid when
         the proof fails.  Fresh (non-duplicate) updates are always
@@ -548,7 +579,7 @@ class Psn:
         sequence = update.sequence
         if not flooding.already_seen(update):
             return False  # fresh update: ack it
-        key = update.key()
+        key = update.origin
         owed = self._ack_owed.get((reverse_id, key))
         if owed is not None and owed >= sequence:
             # We skipped once for this proof and the sender is *still*
@@ -638,21 +669,22 @@ class Psn:
         self, update: RoutingUpdate, sent_on: Optional[int]
     ) -> None:
         """One acknowledgement (explicit or piggybacked) took effect."""
-        pending = self._unacked.get((sent_on, update.key()))
+        key = (sent_on, update.origin)
+        pending = self._unacked.get(key)
         if pending is not None and pending[0].sequence <= update.sequence:
-            del self._unacked[(sent_on, update.key())]
+            del self._unacked[key]
         if self._ack_owed:
             # The neighbour acknowledged our copy, so it received and
             # processed it -- the implicit ack we were counting on took
-            # effect and any owed-ack debt for the key is settled.
-            owed = self._ack_owed.get((sent_on, update.key()))
+            # effect and any owed-ack debt for the origin is settled.
+            owed = self._ack_owed.get(key)
             if owed is not None and update.sequence >= owed:
-                del self._ack_owed[(sent_on, update.key())]
+                del self._ack_owed[key]
         self.flooding.note_acked(sent_on, update)
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_ACKED,
-                node=self.node_id, link=update.link_id,
+                node=self.node_id,
                 data={"origin": update.origin, "seq": update.sequence,
                       "on": sent_on},
             )
@@ -677,8 +709,7 @@ class Psn:
                 # packets have actually been on the wire.
                 continue
             # The queue is drained: retransmit this link's whole
-            # overdue batch (the real protocol carried all of a
-            # node's pending costs in a single update packet).
+            # overdue batch.
             for update in updates:
                 self._transmit_update(update, link_id)
                 self.flooding.stats.retransmitted += 1
@@ -705,19 +736,36 @@ class Psn:
             self._forwarding = None
 
     def _apply_update(self, update: RoutingUpdate) -> None:
-        cost = UNREACHABLE if update.cost >= DOWN_COST else float(update.cost)
-        if self._pending_updates is not None:
-            if update.link_id not in self._pending_old:
-                self._pending_old[update.link_id] = self.costs[update.link_id]
-            self.costs[update.link_id] = cost
-            self._pending_updates.append((update.link_id, cost))
+        costs = self.costs
+        pending = self._pending_updates
+        if pending is not None:
+            pending_old = self._pending_old
+            for link_id, advertised in update.entries:
+                cost = (UNREACHABLE if advertised >= DOWN_COST
+                        else float(advertised))
+                old_cost = costs[link_id]
+                if cost != old_cost:
+                    # Most lines of an update are unchanged; only a
+                    # real change touches the table (and its
+                    # fingerprint) or needs rewinding at the flush.
+                    if link_id not in pending_old:
+                        pending_old[link_id] = old_cost
+                    costs[link_id] = cost
+                pending.append((link_id, cost))
             return
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, SPF_RECOMPUTE,
-                node=self.node_id, link=update.link_id,
+                node=self.node_id, value=len(update.entries),
             )
-        if self.tree.update_cost(update.link_id, cost):
+        tree = self.tree
+        changed = False
+        for link_id, advertised in update.entries:
+            cost = (UNREACHABLE if advertised >= DOWN_COST
+                    else float(advertised))
+            if tree.update_cost(link_id, cost):
+                changed = True
+        if changed:
             # The compiled next-hop table reflects the old tree; drop it
             # and recompile (or re-fetch from the cache) on the next
             # packet.  No-op updates leave the tree -- and therefore the
@@ -742,7 +790,7 @@ class Psn:
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_FLOODED,
-                node=self.node_id, link=update.link_id, value=len(links),
+                node=self.node_id, value=len(links),
                 data={"origin": update.origin, "seq": update.sequence},
             )
 
@@ -752,9 +800,9 @@ class Psn:
             PacketKind.ROUTING_UPDATE, self.node_id, None,
             UPDATE_PACKET_BITS, self.sim.now, update=update,
         )
-        # A newer update for the same (origin, link) supersedes any
-        # older one still awaiting its ACK on this link.
-        self._unacked[(link_id, update.key())] = (update, self.sim.now)
+        # A newer update from the same origin supersedes any older one
+        # still awaiting its ACK on this link.
+        self._unacked[(link_id, update.origin)] = (update, self.sim.now)
         self.flooding.note_sent(link_id, update)
         self.transmitters[link_id].send(packet)
 
@@ -762,10 +810,11 @@ class Psn:
         """A held flood-forward came due: send unless now provably moot.
 
         While we held it, the neighbour's own copy (or its ack) may have
-        arrived and proven possession; a newer update for the same key
-        may also have gone out on this link, superseding ours.  Either
-        way the transmission is redundant and is skipped; otherwise it
-        proceeds exactly as an immediate forward would have.
+        arrived and proven possession; a newer update from the same
+        origin may also have gone out on this link, superseding ours.
+        Either way the transmission is redundant and is skipped;
+        otherwise it proceeds exactly as an immediate forward would
+        have.
         """
         if not self.network.link(link_id).up:
             # The link died during the hold; its advertise(DOWN) path
@@ -774,14 +823,14 @@ class Psn:
             # or dropped at the dead wire the same way.)
             return
         flooding = self.flooding
-        key = update.key()
+        key = update.origin
         sequence = update.sequence
         if flooding.neighbor_seq(link_id, key) >= sequence:
             flooding.stats.suppressed_flood += 1
             if self._trace is not None:
                 self._trace.emit(
                     self.sim.now, FLOOD_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
+                    node=self.node_id,
                     data={"origin": update.origin, "seq": sequence,
                           "on": link_id},
                 )
@@ -802,7 +851,7 @@ class Psn:
         """
         def suppress(packet: Packet) -> bool:
             update = packet.update
-            key = update.key()
+            key = update.origin
             known = self.flooding.neighbor_seq(link_id, key)
             if known < update.sequence:
                 return False
@@ -829,7 +878,7 @@ class Psn:
             if self._trace is not None:
                 self._trace.emit(
                     self.sim.now, FLOOD_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
+                    node=self.node_id,
                     data={"origin": update.origin, "seq": update.sequence,
                           "on": link_id},
                 )
@@ -873,10 +922,12 @@ class Psn:
         cost: int,
         sequence: Optional[int] = None,
     ) -> RoutingUpdate:
-        """Adversarial harness: flood a forged update about one own link.
+        """Adversarial harness: flood a forged update from this node.
 
-        With ``sequence=None`` the update is protocol-legal -- it spends
-        a real sequence number from the origination counter (the
+        The forgery is a whole node update: every line at its advertised
+        cost, except ``link_id``, which reports ``cost``.  With
+        ``sequence=None`` the update is protocol-legal -- it spends a
+        real sequence number from the origination counter (the
         babbling-node fault: well-formed, just far too frequent).  With
         an explicit ``sequence`` the forgery bypasses the counter
         entirely (the corrupt-update fault: the counter keeps its honest
@@ -885,10 +936,14 @@ class Psn:
         Neither path touches ``_advertised`` or the origination stats:
         forged traffic is the fault, not a report.
         """
+        entries = tuple(
+            (line, cost if line == link_id else self._advertised[line])
+            for line in self.transmitters
+        )
         if sequence is None:
-            update = self.flooding.originate(link_id, cost)
+            update = self.flooding.originate(entries)
         else:
-            update = RoutingUpdate(self.node_id, link_id, cost, sequence)
+            update = RoutingUpdate(self.node_id, entries, sequence)
         self._flood(update, arrived_on=None)
         return update
 
@@ -898,9 +953,9 @@ class Psn:
     def local_link_down(self, link_id: int) -> None:
         """React to one of our own links dying.
 
-        Flush its queue and flood an unreachable-cost update.  (The
-        caller flips the topology's ``up`` flag for both directions;
-        each endpoint node reports its own direction.)
+        Flush its queue and flood an update reporting the line dead.
+        (The caller flips the topology's ``up`` flag for both
+        directions; each endpoint node reports its own direction.)
         """
         self.transmitters[link_id].flush()
         # Updates awaiting ACKs on the dead link will never be ACKed;
@@ -911,7 +966,7 @@ class Psn:
         # same reason: its retransmission state resets with the circuit.
         for key in [k for k in self._ack_owed if k[0] == link_id]:
             del self._ack_owed[key]
-        self.advertise(link_id, DOWN_COST)
+        self.advertise()
 
     def local_link_up(self, link_id: int) -> None:
         """React to one of our own links recovering.
@@ -924,4 +979,4 @@ class Psn:
         self._init_link_state(link)
         self.transmitters[link_id].on_delay_sample = \
             self._averager[link_id].add_sample
-        self.advertise(link_id, self.metric.initial_cost(link))
+        self.advertise({link_id: self.metric.initial_cost(link)})

@@ -145,7 +145,7 @@ def resilience_summary(
     """
     injector = simulation.fault_injector
     applied = injector.applied if injector is not None else []
-    times = [t for t, _, _ in simulation.stats.cost_history]
+    times = [t for t, _, _ in simulation.stats.update_log]
     timeline = simulation.timeline
     faults: List[Dict] = []
     for t0, kind, link_id in applied:

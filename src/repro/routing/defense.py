@@ -3,12 +3,13 @@
 The post-1980 ARPANET hardening, as a layered screen in front of
 :meth:`~repro.routing.flooding.FloodingState.accept`:
 
-1. **Sanity validation** -- a received update whose cost lies outside
-   its link's absolute metric band (the paper's section-4 cost bounds,
-   snapshotted per link exactly the way the invariant monitor does),
-   or whose sequence number jumps implausibly far past the highest
-   sequence already on record for its key, is rejected before it can
-   touch the database.  The 1980 corrupted sequence numbers die here.
+1. **Sanity validation** -- a received update with any line's cost
+   outside that link's absolute metric band (the paper's section-4
+   cost bounds, snapshotted per link exactly the way the invariant
+   monitor does), or whose sequence number jumps implausibly far past
+   the highest sequence already on record for its origin, is rejected
+   before it can touch the database.  The 1980 corrupted sequence
+   numbers die here.
 2. **Misbehaviour scoring + quarantine** -- every rejection charges
    the *delivering neighbour* one point on a decaying score; past a
    threshold the neighbour is quarantined (all its updates rejected)
@@ -18,7 +19,7 @@ The post-1980 ARPANET hardening, as a layered screen in front of
    babbling node whose updates are individually well-formed.
 3. **Purge-and-reflood self-stabilization** -- a periodic pass evicts
    database entries not refreshed within ``purge_age_s``.  Because
-   every node re-advertises each link at least once per 50 seconds
+   every node re-advertises its lines at least once per 50 seconds
    (the significance threshold decays to zero), an evicted *honest*
    entry is re-learned within one cap interval, while a poisoned
    entry -- whose forged sequence number was blocking the honest
@@ -77,10 +78,10 @@ class DefenseConfig:
     #: and even a reboot re-floods from its counter, not past it).
     seq_window: int = 64
     #: Token-bucket origination rate per neighbour: sustained updates
-    #: per second accepted from a neighbour about *its own* links.  The
-    #: honest cadence is one update per link per 10-second measurement
-    #: interval; 2/s leaves an order of magnitude of headroom for
-    #: fault-time advertisement bursts.
+    #: per second accepted from a neighbour about *its own* lines.  The
+    #: honest cadence is at most one update per node per 10-second
+    #: measurement interval, plus one per local line failure or
+    #: recovery; 2/s leaves ample headroom for fault-time bursts.
     rate_limit_per_s: float = 2.0
     #: Token-bucket burst: instantaneous origination credit (covers the
     #: boot flood and a whole-node fail/restore re-advertisement).
@@ -212,9 +213,9 @@ class NodeDefense:
         self.flooding = flooding
         self.stats = DefenseStats()
         self._neighbors: Dict[int, _NeighborState] = {}
-        #: update key -> last time an update for it was accepted
-        #: (feeds the age-based purge).
-        self._last_accept: Dict[Tuple[int, int], float] = {}
+        #: origin -> last time an update from it was accepted (feeds
+        #: the age-based purge).
+        self._last_accept: Dict[int, float] = {}
         self.on_quarantine: Optional[Callable[[int, float], None]] = None
 
     # ------------------------------------------------------------------
@@ -255,14 +256,16 @@ class NodeDefense:
                 self._penalize(state, from_node, now)
                 return "rate-limit"
             state.tokens -= 1.0
-        bounds = self.policy.bounds.get(update.link_id)
-        if bounds is not None and update.cost < _DOWN_COST:
-            lo, hi = bounds
-            if not lo <= update.cost <= hi:
-                self.stats.rejected_cost += 1
-                self._penalize(state, from_node, now)
-                return "cost-range"
-        highest = self.flooding._highest_seen.get(update.key())
+        all_bounds = self.policy.bounds
+        for link_id, cost in update.entries:
+            bounds = all_bounds.get(link_id)
+            if bounds is not None and cost < _DOWN_COST:
+                lo, hi = bounds
+                if not lo <= cost <= hi:
+                    self.stats.rejected_cost += 1
+                    self._penalize(state, from_node, now)
+                    return "cost-range"
+        highest = self.flooding._highest_seen.get(update.origin)
         if highest is not None and \
                 update.sequence > highest + self.policy.config.seq_window:
             # A known key may only advance plausibly.  An absent (or
@@ -276,7 +279,7 @@ class NodeDefense:
 
     def note_accepted(self, update, now: float) -> None:
         """Record a database refresh (called after ``accept`` succeeds)."""
-        self._last_accept[update.key()] = now
+        self._last_accept[update.origin] = now
 
     # ------------------------------------------------------------------
     # Purge-and-reflood
@@ -284,18 +287,18 @@ class NodeDefense:
     def purge(self, now: float) -> int:
         """Evict database entries not refreshed within ``purge_age_s``.
 
-        Returns the number of entries evicted.  Own-origin keys are
+        Returns the number of entries evicted.  The node's own entry is
         never purged (the owner *is* the authority on its own links).
         The matching re-learn happens by itself: every honest node
-        re-advertises each link at least once per 50 s, and the
-        sequence screen accepts any sequence for an absent key.
+        re-advertises its lines at least once per 50 s, and the
+        sequence screen accepts any sequence for an absent origin.
         """
         self.stats.purge_passes += 1
         horizon = now - self.policy.config.purge_age_s
         highest = self.flooding._highest_seen
         stale = [
             key for key, last in self._last_accept.items()
-            if last <= horizon and key[0] != self.node_id
+            if last <= horizon and key != self.node_id
         ]
         purged = 0
         for key in stale:

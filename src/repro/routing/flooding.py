@@ -1,11 +1,14 @@
 """Routing-update flooding.
 
 Routing updates carry *"only link cost information; no other routing
-information is disseminated through the network"*.  Each update names the
-reporting node, the link, the new cost and a per-(node, link) sequence
-number; updates are flooded -- forwarded on every link except the one they
-arrived on -- with duplicate suppression by sequence number, the essence of
-Rosen's updating protocol [Rosen 1980].
+information is disseminated through the network"*.  As in the ARPANET,
+each PSN floods **one update per node**: it names the reporting node,
+lists the cost of every line that node owns, and carries one sequence
+number from the node's single origination counter.  Updates are flooded
+-- forwarded on every link except the one they arrived on -- with
+duplicate suppression by sequence number, the essence of Rosen's
+updating protocol [Rosen 1980].  The origin is the update's key: every
+accept, acknowledgement and retransmission is tracked per origin.
 
 :class:`FloodingState` is the pure protocol logic (what to accept, where
 to forward); the DES-side transmission and per-hop delay live in
@@ -15,58 +18,48 @@ without a simulator.
 **Per-neighbor sequence windows** (the large-network fast path): with
 ``neighbor_windows=True`` the state additionally remembers, per outgoing
 link, the highest sequence number *sent to* and *provably held by* the
-neighbour for each ``(origin, link)`` update key -- fed by received
-updates (the neighbour forwarded it, so it has it) and by its explicit
-acknowledgements.  A node then never re-forwards an update the
-neighbour demonstrably already has: once at flood time
-(:meth:`forward_links`), and again at wire time just before a queued
-update would transmit (see ``LinkTransmitter.suppress_update``), which
-is where the boot flood's long control backlogs make cross-arrivals
-common.  Windows are bounded (FIFO eviction, counted); a missing entry
-never suppresses -- absence of proof means *send*, so reliability is
-untouched.
+neighbour for each origin -- fed by received updates (the neighbour
+forwarded it, so it has it) and by its explicit acknowledgements.  A
+node then never re-forwards an update the neighbour demonstrably
+already has: once at flood time (:meth:`forward_links`), and again at
+wire time just before a queued update would transmit (see
+``LinkTransmitter.suppress_update``), which is where the boot flood's
+long control backlogs make cross-arrivals common.  Windows are bounded
+(FIFO eviction, counted); a missing entry never suppresses -- absence
+of proof means *send*, so reliability is untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.topology.graph import Network
 
-#: Per-neighbour window bound: update keys remembered per outgoing link.
-#: 1024 keys cover every (origin, link) pair of a 512-node network's
-#: region of interest; beyond that, oldest entries fall off (safe: an
-#: evicted key just loses its suppression proof).
+#: Per-neighbour window bound: origins remembered per outgoing link.
+#: Updates are keyed by origin, so 1024 keys hold every node of a
+#: 512-node network twice over; beyond that, oldest entries fall off
+#: (safe: an evicted key just loses its suppression proof).
 WINDOW_KEYS_PER_NEIGHBOR = 1024
 
 
 @dataclass(frozen=True)
 class RoutingUpdate:
-    """One link-cost report, as flooded through the network.
+    """One node's link-cost report, as flooded through the network.
 
-    In the real ARPANET an update packages all of a PSN's local link
-    costs; we flood one link per update (the per-link sequence-number
-    space makes the two equivalent for protocol purposes and simpler to
-    reason about).
+    ``entries`` holds a ``(link_id, cost)`` pair for every line the
+    origin owns -- down lines at the line-dead cost -- so one update
+    refreshes the origin's whole row of every node's cost table, the
+    way an ARPANET PSN packed all of its lines into one update.
     """
 
     origin: int
-    link_id: int
-    cost: int
+    entries: Tuple[Tuple[int, int], ...]
     sequence: int
-    #: Cached (origin, link_id); computed once, read on every accept,
-    #: transmit and acknowledgement.
-    _key: Tuple[int, int] = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (self.origin, self.link_id))
-
-    def key(self) -> Tuple[int, int]:
-        """Identity of the sequence-number space this update lives in."""
-        return self._key
+    def key(self) -> int:
+        """Identity of the sequence-number space: the origin node."""
+        return self.origin
 
 
 @dataclass
@@ -128,41 +121,47 @@ class FloodingState:
     ) -> None:
         self.network = network
         self.node_id = node_id
-        self._highest_seen: Dict[Tuple[int, int], int] = {}
-        self._own_sequence: Dict[int, int] = {}
+        #: origin -> highest sequence accepted from it.
+        self._highest_seen: Dict[int, int] = {}
+        #: This node's origination counter (one sequence space per node).
+        self._own_sequence = 0
         self.neighbor_windows = neighbor_windows
         self._window_limit = window_limit
-        #: link id -> {update key -> highest sequence the neighbour
+        #: link id -> {origin -> highest sequence the neighbour
         #: provably has} (from its forwards and its acks).
-        self._neighbor_has: Dict[int, Dict[Tuple[int, int], int]] = {}
-        #: link id -> {update key -> highest sequence sent that way}.
-        self._sent_to: Dict[int, Dict[Tuple[int, int], int]] = {}
-        #: link id -> {update key -> highest sequence the neighbour has
+        self._neighbor_has: Dict[int, Dict[int, int]] = {}
+        #: link id -> {origin -> highest sequence sent that way}.
+        self._sent_to: Dict[int, Dict[int, int]] = {}
+        #: link id -> {origin -> highest sequence the neighbour has
         #: *explicitly acknowledged*}.  Strictly stronger evidence than
         #: ``_neighbor_has`` (which a received forward also feeds): an
         #: entry here proves the neighbour processed our copy, which is
         #: what duplicate-ack suppression needs -- the update being
         #: screened would itself plant a ``_neighbor_has`` entry, so
         #: that table cannot serve as the proof.
-        self._acked_by: Dict[int, Dict[Tuple[int, int], int]] = {}
+        self._acked_by: Dict[int, Dict[int, int]] = {}
         self.stats = FloodingStats()
 
     # ------------------------------------------------------------------
     # Origination
     # ------------------------------------------------------------------
-    def originate(self, link_id: int, cost: int) -> RoutingUpdate:
-        """Create a new update about one of this node's own links."""
-        link = self.network.link(link_id)
-        if link.src != self.node_id:
-            raise ValueError(
-                f"node {self.node_id} does not own link {link_id} "
-                f"(owned by {link.src})"
-            )
-        sequence = self._own_sequence.get(link_id, 0) + 1
-        self._own_sequence[link_id] = sequence
-        update = RoutingUpdate(self.node_id, link_id, cost, sequence)
+    def originate(
+        self, entries: Tuple[Tuple[int, int], ...]
+    ) -> RoutingUpdate:
+        """Create this node's next update from its ``(link_id, cost)``
+        lines (every line it owns)."""
+        network = self.network
+        for link_id, _cost in entries:
+            owner = network.link(link_id).src
+            if owner != self.node_id:
+                raise ValueError(
+                    f"node {self.node_id} does not own link {link_id} "
+                    f"(owned by {owner})"
+                )
+        self._own_sequence += 1
+        update = RoutingUpdate(self.node_id, entries, self._own_sequence)
         # The originator has, by definition, seen its own update.
-        self._highest_seen[update.key()] = sequence
+        self._highest_seen[self.node_id] = update.sequence
         self.stats.generated += 1
         return update
 
@@ -175,11 +174,11 @@ class FloodingState:
         Returns ``True`` exactly when the update should be applied to the
         local cost table and forwarded onward.
         """
-        highest = self._highest_seen.get(update.key(), 0)
+        highest = self._highest_seen.get(update.origin, 0)
         if update.sequence <= highest:
             self.stats.duplicates += 1
             return False
-        self._highest_seen[update.key()] = update.sequence
+        self._highest_seen[update.origin] = update.sequence
         self.stats.accepted += 1
         return True
 
@@ -190,7 +189,7 @@ class FloodingState:
         duplicate-ack suppression to classify an update *before* the
         acknowledgement decision (which protocol-wise precedes accept).
         """
-        return self._highest_seen.get(update.key(), 0) >= update.sequence
+        return self._highest_seen.get(update.origin, 0) >= update.sequence
 
     def forward_links(
         self,
@@ -216,7 +215,6 @@ class FloodingState:
                 if link.link_id != excluded:
                     links.append(link.link_id)
         else:
-            key = update.key()
             sequence = update.sequence
             origin = update.origin
             for link in self.network.out_links(self.node_id):
@@ -227,11 +225,11 @@ class FloodingState:
                     # The originator has its own update by definition.
                     self.stats.suppressed_flood += 1
                     continue
-                if self.neighbor_seq(link_id, key) >= sequence:
+                if self.neighbor_seq(link_id, origin) >= sequence:
                     self.stats.suppressed_flood += 1
                     continue
                 sent = self._sent_to.get(link_id)
-                if sent is not None and sent.get(key, 0) >= sequence:
+                if sent is not None and sent.get(origin, 0) >= sequence:
                     # Already sent (and still retransmitting until
                     # acked): reliable delivery covers the neighbour.
                     self.stats.suppressed_flood += 1
@@ -245,9 +243,9 @@ class FloodingState:
     # ------------------------------------------------------------------
     def _note(
         self,
-        table: Dict[int, Dict[Tuple[int, int], int]],
+        table: Dict[int, Dict[int, int]],
         link_id: int,
-        key: Tuple[int, int],
+        key: int,
         sequence: int,
     ) -> None:
         window = table.get(link_id)
@@ -270,7 +268,7 @@ class FloodingState:
         """The neighbour behind ``link_id`` forwarded ``update`` to us."""
         if not self.neighbor_windows or link_id is None:
             return
-        self._note(self._neighbor_has, link_id, update.key(), update.sequence)
+        self._note(self._neighbor_has, link_id, update.origin, update.sequence)
 
     def note_acked(
         self, link_id: Optional[int], update: RoutingUpdate
@@ -278,17 +276,17 @@ class FloodingState:
         """The neighbour behind ``link_id`` acknowledged ``update``."""
         if not self.neighbor_windows or link_id is None:
             return
-        self._note(self._neighbor_has, link_id, update.key(), update.sequence)
-        self._note(self._acked_by, link_id, update.key(), update.sequence)
+        self._note(self._neighbor_has, link_id, update.origin, update.sequence)
+        self._note(self._acked_by, link_id, update.origin, update.sequence)
 
     def note_sent(self, link_id: int, update: RoutingUpdate) -> None:
         """We queued ``update`` for transmission on ``link_id``."""
         if not self.neighbor_windows:
             return
-        self._note(self._sent_to, link_id, update.key(), update.sequence)
+        self._note(self._sent_to, link_id, update.origin, update.sequence)
 
-    def neighbor_seq(self, link_id: int, key: Tuple[int, int]) -> int:
-        """Highest sequence the neighbour provably has for ``key``.
+    def neighbor_seq(self, link_id: int, key: int) -> int:
+        """Highest sequence the neighbour provably has from origin ``key``.
 
         0 when nothing is known (sequence numbers start at 1, so 0 never
         suppresses anything).
@@ -298,7 +296,7 @@ class FloodingState:
             return 0
         return window.get(key, 0)
 
-    def neighbor_acked(self, link_id: int, key: Tuple[int, int]) -> int:
+    def neighbor_acked(self, link_id: int, key: int) -> int:
         """Highest sequence the neighbour *explicitly acknowledged*.
 
         0 when nothing is known.  Unlike :meth:`neighbor_seq` this is
@@ -310,7 +308,7 @@ class FloodingState:
             return 0
         return window.get(key, 0)
 
-    def sent_seq(self, link_id: int, key: Tuple[int, int]) -> int:
+    def sent_seq(self, link_id: int, key: int) -> int:
         """Highest sequence we ever queued toward ``link_id`` for ``key``.
 
         0 when nothing was sent (or the window entry was evicted --

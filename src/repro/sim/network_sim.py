@@ -41,6 +41,7 @@ from repro.psn.interfaces import DEFAULT_BUFFER_PACKETS, LinkTransmitter
 from repro.psn.node import Psn
 from repro.psn.packet import Packet, PacketKind
 from repro.routing.defense import DefenseConfig, DefensePolicy
+from repro.routing.spf import CostTable
 from repro.routing.spf_cache import SpfCache
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 from repro.topology.graph import Link, Network
@@ -305,6 +306,9 @@ class NetworkSimulation:
             self.defense_policy = DefensePolicy(
                 network, metric, defense_config
             )
+        # Every PSN boots believing the same idle costs; build the
+        # table once and let each node copy it.
+        idle_costs = CostTable.from_metric(network, metric)
         self.psns: Dict[int, Psn] = {
             node.node_id: Psn(
                 self.sim,
@@ -330,6 +334,7 @@ class NetworkSimulation:
                 tracer=self.tracer,
                 profiler=self.profiler,
                 defense_policy=self.defense_policy,
+                idle_costs=idle_costs,
             )
             for node in network
         }

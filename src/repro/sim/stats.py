@@ -197,8 +197,11 @@ class StatsCollector:
         self.unreachable_drops = 0
         self.hop_limit_drops = 0
         self.updates_originated = 0
-        #: (time, link_id, cost) for every originated update.
+        #: (time, link_id, cost) for every line of every originated update.
         self.cost_history: List[Tuple[float, int, int]] = []
+        #: (time, origin, index of its first ``cost_history`` row) for
+        #: every originated update, warmup included.
+        self.update_log: List[Tuple[float, int, int]] = []
         #: per-link utilization time series: link_id -> [(time, value)].
         self.utilization_history: Dict[int, List[Tuple[float, float]]] = \
             defaultdict(list)
@@ -263,11 +266,19 @@ class StatsCollector:
         else:
             raise ValueError(f"unknown drop reason {reason!r}")
 
-    def update_originated(self, link_id: int, cost: int, now: float) -> None:
+    def update_originated(self, origin: int, entries, now: float) -> None:
+        """One node update, carrying ``(link_id, cost)`` per line.
+
+        Counts one origination (Table 1 counts updates per node) and
+        records one cost-history row per line.
+        """
         self._note_time(now)
-        self.cost_history.append((now, link_id, cost))
-        if self._trace is not None:
-            self._trace.emit(now, COST_CHANGE, link=link_id, value=cost)
+        history = self.cost_history
+        self.update_log.append((now, origin, len(history)))
+        for link_id, cost in entries:
+            history.append((now, link_id, cost))
+            if self._trace is not None:
+                self._trace.emit(now, COST_CHANGE, link=link_id, value=cost)
         if now >= self.warmup_s:
             self.updates_originated += 1
 

@@ -5,8 +5,8 @@ trunk re-enters the tables advertising its *maximum* cost, so traffic
 returns gradually as the cost walks down under the movement limit,
 instead of stampeding onto the still-empty line.
 
-The pinned series is the full advertised-cost trajectory of the
-two-region bridge circuit across a scripted fail/restore under the
+The pinned series is the bridge line's entry in every update its PSN
+sent across a scripted fail/restore of the two-region bridge under the
 hop-normalized metric (56K trunk: min 30, max 90, max_down 16/period).
 Regenerate with the inline driver below if the metric tables change
 deliberately.
@@ -27,6 +27,8 @@ GOLDEN_SERIES = [
     (14.94, 74),          # easing toward measured load, -16/period
     (24.94, 58),
     (30.0, DOWN_COST),    # scripted failure
+    (34.94, DOWN_COST),   # the owner's later updates carry every line,
+    (54.94, DOWN_COST),   # the dead one included
     (60.0, 90),           # restore: re-enters AT MAXIMUM cost
     (64.94, 74),          # and eases back in, never faster than
     (74.94, 58),          # max_down per measurement period

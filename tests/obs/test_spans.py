@@ -41,14 +41,19 @@ def test_every_generated_update_becomes_a_span(traced_run):
 
 
 def test_lineages_are_unique_and_well_formed(traced_run):
-    _, _, events = traced_run
+    simulation, _, events = traced_run
     spans = build_update_spans(events)
     lineages = [span.lineage for span in spans]
     assert len(set(lineages)) == len(lineages)
     for span in spans:
-        assert span.lineage == (span.origin, span.link_id, span.sequence)
-        assert span.lineage_id == \
-            f"{span.origin}/{span.link_id}/{span.sequence}"
+        assert span.lineage == (span.origin, span.sequence)
+        assert span.lineage_id == f"{span.origin}/{span.sequence}"
+        if span.generated_t is not None:
+            # The root carries the origin's whole row of line costs.
+            assert span.entries
+            assert {link for link, _cost in span.entries} <= set(
+                range(len(simulation.network.links))
+            )
 
 
 def test_accepts_cover_the_flood_and_latencies_are_causal(traced_run):

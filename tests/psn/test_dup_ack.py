@@ -61,7 +61,7 @@ def test_fresh_updates_always_acked():
     sim.run(until_s=5.0)
     psn = sim.psns[1]
     via = _circuit(sim.network, 0, 1)
-    fresh = RoutingUpdate(0, via.link_id, 33, sequence=10_000)
+    fresh = RoutingUpdate(0, ((via.link_id, 33),), sequence=10_000)
     assert not psn._skip_duplicate_ack(fresh, via)
 
 
@@ -82,7 +82,7 @@ def test_skip_records_owed_ack_and_second_duplicate_pays():
     flooding = psn.flooding
     stats = flooding.stats
 
-    update = RoutingUpdate(0, via.link_id, 44, sequence=500)
+    update = RoutingUpdate(0, ((via.link_id, 44),), sequence=500)
     key = update.key()
     # Make it a duplicate with an en-route copy: we have seen this
     # sequence, and our own forward of it was queued toward the sender.
@@ -122,7 +122,7 @@ def test_neighbor_ack_settles_debt_silently():
     psn = sim.psns[1]
     via = _circuit(sim.network, 0, 1)
     reverse_id = via.reverse_id
-    update = RoutingUpdate(0, via.link_id, 44, sequence=500)
+    update = RoutingUpdate(0, ((via.link_id, 44),), sequence=500)
     psn._ack_owed[(reverse_id, update.key())] = update.sequence
 
     ack = acquire(
@@ -148,11 +148,11 @@ def test_owed_ack_piggybacks_on_queued_control_packet():
     link_ba = _circuit(sim.network, 1, 0)
 
     # A waits on an ack for ``update`` from B.
-    update = RoutingUpdate(0, link_ab.link_id, 44, sequence=500)
+    update = RoutingUpdate(0, ((link_ab.link_id, 44),), sequence=500)
     a._unacked[(link_ab.link_id, update.key())] = (update, sim.sim.now)
 
     # B has a control packet queued toward A; the owed ack rides it.
-    carrier_payload = RoutingUpdate(1, link_ba.link_id, 7, sequence=400)
+    carrier_payload = RoutingUpdate(1, ((link_ba.link_id, 7),), sequence=400)
     carrier = acquire(
         PacketKind.ROUTING_UPDATE, 1, None, 1000.0, sim.sim.now,
         update=carrier_payload,

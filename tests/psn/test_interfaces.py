@@ -28,7 +28,7 @@ def update_packet(pid):
     return Packet(
         packet_id=pid, kind=PacketKind.ROUTING_UPDATE, src=0, dst=None,
         size_bits=1000.0, created_s=0.0,
-        update=RoutingUpdate(0, 0, 30, 1),
+        update=RoutingUpdate(0, ((0, 30),), 1),
     )
 
 

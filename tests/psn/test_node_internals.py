@@ -39,7 +39,7 @@ def test_advertise_applies_locally_and_floods():
     sim.run(until_s=1.0)
     psn = sim.psns[0]
     own_link = net.out_links(0)[0].link_id
-    psn.advertise(own_link, 77)
+    psn.advertise({own_link: 77})
     assert psn.costs[own_link] == 77.0
     sim.sim.run(until=2.0)
     for node_id, other in sim.psns.items():

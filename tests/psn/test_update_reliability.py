@@ -63,11 +63,11 @@ def test_newer_update_supersedes_pending():
     sim.run(until_s=5.0)
     psn = sim.psns[0]
     own_link = net.out_links(0)[0].link_id
-    psn.advertise(own_link, 40)
-    psn.advertise(own_link, 50)  # before any ACK can return
-    # Only the newest is pending per (link, key).
+    psn.advertise({own_link: 40})
+    psn.advertise({own_link: 50})  # before any ACK can return
+    # Only the newest is pending per (link, origin).
     pending = [
-        update.cost
+        dict(update.entries)[own_link]
         for (link_id, _key), (update, _t) in psn._unacked.items()
     ]
     assert 40 not in pending
@@ -84,7 +84,7 @@ def test_link_down_purges_pending():
     sim.run(until_s=5.0)
     dead = net.out_links(0)[0].link_id
     psn = sim.psns[0]
-    psn.advertise(dead, 60)
+    psn.advertise({dead: 60})
     net.set_circuit_state(dead, up=False)
     psn.local_link_down(dead)
     assert not any(l == dead for (l, _k) in psn._unacked)

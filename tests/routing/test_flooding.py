@@ -11,27 +11,32 @@ def ring():
     return build_ring_network(4)
 
 
+def _lines(network, node, cost):
+    """A node update's entries: every line of ``node`` at ``cost``."""
+    return tuple((link.link_id, cost) for link in network.out_links(node))
+
+
 def test_originate_increments_sequence(ring):
     state = FloodingState(ring, 0)
-    own_link = ring.out_links(0)[0].link_id
-    first = state.originate(own_link, 30)
-    second = state.originate(own_link, 47)
+    first = state.originate(_lines(ring, 0, 30))
+    second = state.originate(_lines(ring, 0, 47))
     assert first.sequence == 1
     assert second.sequence == 2
-    assert first.key() == second.key()
+    assert first.key() == second.key() == 0
+    assert second.entries == _lines(ring, 0, 47)
 
 
 def test_originate_rejects_foreign_link(ring):
     state = FloodingState(ring, 0)
     foreign = ring.out_links(1)[0].link_id
     with pytest.raises(ValueError):
-        state.originate(foreign, 30)
+        state.originate(_lines(ring, 0, 30) + ((foreign, 30),))
 
 
 def test_accept_new_then_reject_duplicate(ring):
     sender = FloodingState(ring, 0)
     receiver = FloodingState(ring, 1)
-    update = sender.originate(ring.out_links(0)[0].link_id, 42)
+    update = sender.originate(_lines(ring, 0, 42))
     assert receiver.accept(update)
     assert not receiver.accept(update)
     assert receiver.stats.accepted == 1
@@ -41,26 +46,28 @@ def test_accept_new_then_reject_duplicate(ring):
 def test_stale_sequence_rejected(ring):
     sender = FloodingState(ring, 0)
     receiver = FloodingState(ring, 1)
-    link = ring.out_links(0)[0].link_id
-    old = sender.originate(link, 42)
-    new = sender.originate(link, 60)
+    old = sender.originate(_lines(ring, 0, 42))
+    new = sender.originate(_lines(ring, 0, 60))
     assert receiver.accept(new)
     assert not receiver.accept(old)
 
 
 def test_originator_ignores_reflected_copy(ring):
     sender = FloodingState(ring, 0)
-    update = sender.originate(ring.out_links(0)[0].link_id, 42)
+    update = sender.originate(_lines(ring, 0, 42))
     assert not sender.accept(update)
 
 
-def test_sequence_spaces_independent_per_link(ring):
+def test_one_sequence_space_per_node(ring):
+    # Every update of a node shares its one counter, whatever lines
+    # changed; another node's counter is independent.
     sender = FloodingState(ring, 0)
-    links = [l.link_id for l in ring.out_links(0)]
-    u1 = sender.originate(links[0], 42)
-    u2 = sender.originate(links[1], 42)
-    assert u1.sequence == u2.sequence == 1
-    assert u1.key() != u2.key()
+    other = FloodingState(ring, 1)
+    u1 = sender.originate(_lines(ring, 0, 42))
+    u2 = sender.originate(_lines(ring, 0, 43))
+    u3 = other.originate(_lines(ring, 1, 42))
+    assert (u1.sequence, u2.sequence, u3.sequence) == (1, 2, 1)
+    assert u1.key() == u2.key() != u3.key()
 
 
 def test_forward_links_exclude_arrival_reverse(ring):
@@ -82,7 +89,7 @@ def test_forward_links_all_when_originating(ring):
 def test_flood_reaches_every_node_once(ring):
     """Simulate a full synchronous flood; every node accepts exactly once."""
     states = {n: FloodingState(ring, n) for n in ring.nodes}
-    update = states[0].originate(ring.out_links(0)[0].link_id, 55)
+    update = states[0].originate(_lines(ring, 0, 55))
     frontier = [(update, link_id) for link_id in
                 states[0].forward_links(None)]
     accepted = {0}
@@ -102,6 +109,6 @@ def test_flood_reaches_every_node_once(ring):
 
 
 def test_update_is_immutable():
-    update = RoutingUpdate(origin=0, link_id=1, cost=30, sequence=1)
+    update = RoutingUpdate(origin=0, entries=((0, 30), (7, 30)), sequence=1)
     with pytest.raises(AttributeError):
-        update.cost = 99
+        update.entries = ((0, 99),)

@@ -78,12 +78,15 @@ def test_throughput_in_kbps(net):
 
 def test_update_accounting(net):
     stats = StatsCollector(net, warmup_s=10.0)
-    stats.update_originated(3, 42, 5.0)   # during warmup: kept in history
-    stats.update_originated(3, 55, 20.0)
-    stats.update_originated(4, 60, 30.0)
+    # One node update per call, one history row per line it carries.
+    stats.update_originated(1, ((3, 42), (4, 50)), 5.0)  # warmup: history
+    stats.update_originated(1, ((3, 55), (4, 50)), 20.0)
+    stats.update_originated(1, ((3, 55), (4, 60)), 30.0)
     report = stats.report("test", 110.0)
     assert report.updates_per_s == pytest.approx(2 / 100.0)
-    assert stats.cost_series(3) == [(5.0, 42), (20.0, 55)]
+    assert stats.cost_series(3) == [(5.0, 42), (20.0, 55), (30.0, 55)]
+    assert stats.cost_series(4) == [(5.0, 50), (20.0, 50), (30.0, 60)]
+    assert stats.update_log == [(5.0, 1, 0), (20.0, 1, 2), (30.0, 1, 4)]
     # per node: 2 updates / 100 s / 4 nodes.
     assert report.update_period_per_node_s == pytest.approx(200.0)
 
