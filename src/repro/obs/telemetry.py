@@ -68,6 +68,9 @@ class RunTelemetry:
     updates_retransmitted: int = 0
 
     # -- SPF cache ------------------------------------------------------
+    #: Shared-tree lookups of the multipath routers' SpfCache (0 for
+    #: single-path runs, which build none).  The two table counters
+    #: stay 0: forwarding-table lookups no longer go through a store.
     cache_table_hits: int = 0
     cache_table_misses: int = 0
     cache_tree_hits: int = 0
@@ -207,8 +210,6 @@ class RunTelemetry:
             telemetry.updates_retransmitted += flood.retransmitted
         cache = simulation.spf_cache
         if cache is not None:
-            telemetry.cache_table_hits = cache.stats.table_hits
-            telemetry.cache_table_misses = cache.stats.table_misses
             telemetry.cache_tree_hits = cache.stats.tree_hits
             telemetry.cache_tree_misses = cache.stats.tree_misses
             telemetry.cache_evictions = cache.stats.evictions

@@ -48,7 +48,7 @@ from repro.routing.defense import DefensePolicy, NodeDefense
 from repro.routing.flooding import FloodingState, RoutingUpdate
 from repro.routing.multipath import MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
-from repro.routing.spf_cache import SpfCache
+from repro.routing.spf_cache import UNRESOLVED, SpfCache, resolve_next_hop
 from repro.topology.graph import Link, Network
 from repro.units import MEASUREMENT_INTERVAL_S
 
@@ -98,12 +98,10 @@ class Psn:
     measurement_interval_s:
         The averaging period (paper: 10 s).
     spf_cache:
-        Optional network-wide :class:`~repro.routing.spf_cache.SpfCache`.
-        When present, per-packet forwarding consults a flat next-hop
-        table compiled from (and kept consistent with) the node's SPF
-        tree, instead of walking the tree's parent pointers; the
-        equal-cost multipath router also shares its Dijkstra trees
-        through it.  Pure speed: decisions are identical either way.
+        Optional network-wide :class:`~repro.routing.spf_cache.SpfCache`
+        through which the equal-cost multipath router shares its
+        Dijkstra trees (ignored without ``multipath_mode``).  Pure
+        speed: decisions are identical either way.
     batched_spf:
         Buffer incoming routing updates and repair the SPF tree with one
         :meth:`~repro.routing.spf.SpfTree.update_costs` pass when the
@@ -276,11 +274,10 @@ class Psn:
                     )
 
         self.tree = SpfTree(network, node_id, self.costs)
-        # Hot-path forwarding: a flat next-hop table compiled from the
-        # tree, fetched from the shared cache and dropped whenever a
-        # routing update touches our cost table.
-        self.spf_cache = spf_cache
-        self._forwarding: Optional[list] = None
+        # Hot-path forwarding: next hop per destination, resolved from
+        # the tree on first use (resolve_next_hop) and reset to
+        # UNRESOLVED whenever the tree changes.
+        self._next_hop: list = [UNRESOLVED] * len(network.nodes)
         # Batched SPF repair: updates land in this buffer and are applied
         # in one update_costs pass when the tree is next consulted.  None
         # means per-update (eager) repair.  The *cost table* is written
@@ -416,15 +413,12 @@ class Psn:
             return
         if self.router is not None:
             link_id = self.router.next_hop_link(packet.dst, src=packet.src)
-        elif self.spf_cache is not None:
-            # O(1) table lookup instead of walking tree parent pointers.
-            table = self._forwarding
-            if table is None:
-                table = self._forwarding = \
-                    self.spf_cache.forwarding_table(self.tree)
-            link_id = table[packet.dst]
         else:
-            link_id = self.tree.next_hop_link(packet.dst)
+            link_id = self._next_hop[packet.dst]
+            if link_id == UNRESOLVED:
+                link_id = resolve_next_hop(
+                    self.tree, self._next_hop, packet.dst
+                )
         if link_id is None:
             self.stats.packet_dropped(packet, "unreachable", self.sim.now)
             release(packet)
@@ -733,7 +727,7 @@ class Psn:
                 node=self.node_id, value=len(pending),
             )
         if self.tree.update_costs(pending):
-            self._forwarding = None
+            self._next_hop = [UNRESOLVED] * len(self._next_hop)
 
     def _apply_update(self, update: RoutingUpdate) -> None:
         costs = self.costs
@@ -766,11 +760,10 @@ class Psn:
             if tree.update_cost(link_id, cost):
                 changed = True
         if changed:
-            # The compiled next-hop table reflects the old tree; drop it
-            # and recompile (or re-fetch from the cache) on the next
-            # packet.  No-op updates leave the tree -- and therefore the
-            # table -- untouched.
-            self._forwarding = None
+            # Resolved next hops reflect the old tree; forget them.
+            # No-op updates leave the tree -- and therefore the
+            # entries -- untouched.
+            self._next_hop = [UNRESOLVED] * len(self._next_hop)
         if self.router is not None:
             # The router shares our cost table (updated by the tree);
             # rebuild its equal-cost candidate sets.

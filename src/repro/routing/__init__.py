@@ -8,8 +8,9 @@
 * :class:`~repro.routing.bellman_ford.BellmanFordNode` -- the original
   1969 distributed Bellman-Ford algorithm with the instantaneous
   queue-length metric, kept as a historical baseline,
-* :class:`~repro.routing.spf_cache.SpfCache` -- network-wide sharing of
-  Dijkstra trees and compiled O(1) next-hop forwarding tables,
+* :func:`~repro.routing.spf_cache.resolve_next_hop` -- lazily resolved
+  O(1) next-hop entries, and :class:`~repro.routing.spf_cache.SpfCache`
+  -- network-wide sharing of the multipath router's Dijkstra trees,
 * :class:`~repro.routing.defense.NodeDefense` -- Byzantine-update
   screening, neighbour quarantine and purge-and-reflood
   self-stabilization (the post-1980 ARPANET hardening).
@@ -31,9 +32,10 @@ from repro.routing.flooding import FloodingState, FloodingStats, RoutingUpdate
 from repro.routing.multipath import MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfStats, SpfTree
 from repro.routing.spf_cache import (
+    UNRESOLVED,
     SpfCache,
     SpfCacheStats,
-    compile_forwarding_table,
+    resolve_next_hop,
 )
 
 __all__ = [
@@ -53,7 +55,8 @@ __all__ = [
     "SpfStats",
     "SpfTree",
     "UNREACHABLE",
-    "compile_forwarding_table",
+    "UNRESOLVED",
     "has_routing_loop",
     "queue_length_metric",
+    "resolve_next_hop",
 ]

@@ -22,12 +22,21 @@ pure function of the cost table, so with this rule the whole tree is
 too: applying the same cost changes one at a time, in one batch, or by
 recomputing from scratch yields bit-identical trees.  That is what lets
 the simulator run batched SPF repair by default without perturbing the
-per-update goldens, and what makes shared forwarding tables (keyed only
-by cost fingerprint) exact rather than merely tie-equivalent.
+per-update goldens, and what makes the multipath router's shared trees
+(keyed only by cost-table content) exact rather than merely
+tie-equivalent.
+
+Every tree of a network walks the one adjacency the
+:class:`~repro.topology.graph.Network` keeps
+(:meth:`~repro.topology.graph.Network.static_adjacency`), skipping links
+whose ``up`` flag is off, and reads the raw cost list.  Forwarding does
+not walk the tree per packet: each PSN resolves next hops from the
+parent pointers lazily (:func:`~repro.routing.spf_cache.resolve_next_hop`)
+and forgets them whenever the tree changes.
 
 Costs are floats so the analysis package can sweep costs in fractional
 hops; the operational simulator feeds integer routing units.  Down links
-have cost ``inf``.
+have cost ``inf`` (:data:`UNREACHABLE`).
 """
 
 from __future__ import annotations
@@ -35,8 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.topology.graph import Network
 
@@ -75,47 +83,16 @@ class SpfStats:
         return snapshot
 
 
-#: Word size of the incremental content fingerprint.
-_FP_MASK = (1 << 64) - 1
-
-
-def _entry_fp(link_id: int, cost: float) -> int:
-    """Deterministic 64-bit digest of one ``(link_id, cost)`` entry.
-
-    Built on :func:`hash`, which is unseeded (and therefore stable across
-    processes) for numbers; equal numbers hash equal, so ``1`` and ``1.0``
-    fingerprint identically -- matching tuple equality of the raw costs.
-    """
-    return hash((link_id, cost)) & _FP_MASK
-
-
 @dataclass
 class CostTable:
     """A node's view of every link's cost, indexed by link id.
 
-    Mutate only through ``table[link_id] = cost`` -- besides validating,
-    that keeps the incremental fingerprint (see :meth:`cache_key`) honest.
+    ``table[link_id] = cost`` validates before it writes.  The SPF
+    repair loops read (and, after validating, write) the raw ``costs``
+    list directly.
     """
 
     costs: List[float]
-
-    def __post_init__(self) -> None:
-        self._rebuild_fingerprint()
-
-    def _rebuild_fingerprint(self) -> None:
-        """Full O(L) fingerprint build (construction only)."""
-        xor_part = 0
-        sum_part = 0
-        for link_id, cost in enumerate(self.costs):
-            entry = _entry_fp(link_id, cost)
-            xor_part ^= entry
-            sum_part += entry
-        self._fp_xor = xor_part
-        self._fp_sum = sum_part & _FP_MASK
-        #: Entries touched while maintaining the fingerprint: ``L`` for a
-        #: full build, ``+1`` per mutation.  Regression-tested so cache
-        #: lookups stay O(changed), never O(links).
-        self.key_work = len(self.costs)
 
     @classmethod
     def uniform(cls, network: Network, cost: float) -> "CostTable":
@@ -132,33 +109,20 @@ class CostTable:
     def __setitem__(self, link_id: int, cost: float) -> None:
         if cost < 0:
             raise ValueError(f"link cost must be >= 0, got {cost}")
-        old = self.costs[link_id]
         self.costs[link_id] = cost
-        old_fp = _entry_fp(link_id, old)
-        new_fp = _entry_fp(link_id, cost)
-        self._fp_xor ^= old_fp ^ new_fp
-        self._fp_sum = (self._fp_sum - old_fp + new_fp) & _FP_MASK
-        self.key_work += 1
 
     def copy(self) -> "CostTable":
-        clone = CostTable.__new__(CostTable)
-        clone.costs = list(self.costs)
-        clone._fp_xor = self._fp_xor
-        clone._fp_sum = self._fp_sum
-        clone.key_work = 0
-        return clone
+        return CostTable(list(self.costs))
 
     def cache_key(self) -> tuple:
-        """A hashable content fingerprint of the table, in O(1).
+        """A hashable content key: tables with equal keys route identically.
 
-        Two tables with equal keys route identically; the network-wide
-        SPF cache (:mod:`repro.routing.spf_cache`) uses this to share
-        Dijkstra results between nodes whose cost views agree.  The
-        fingerprint is maintained incrementally by ``__setitem__`` (two
-        independent 64-bit mixes of per-entry digests), so a lookup after
-        *k* mutations costs O(k) total, not O(links) per lookup.
+        Built on demand in O(links).  Only the multipath router's shared
+        Dijkstra trees (:meth:`~repro.routing.spf_cache.SpfCache.shared_tree`)
+        key on it, and each of their recomputes runs (degree + 1) full
+        Dijkstras anyway.
         """
-        return (len(self.costs), self._fp_xor, self._fp_sum)
+        return tuple(self.costs)
 
 
 class SpfTree:
@@ -186,9 +150,6 @@ class SpfTree:
         #: link id of the tree edge *into* each node (None for root and
         #: unreachable nodes).
         self.parent_link: Dict[int, Optional[int]] = {}
-        #: Lazily built (link count, out map, in map) adjacency snapshot;
-        #: see :meth:`_static_adjacency`.
-        self._adj_cache: Optional[tuple] = None
         self.recompute()
 
     # ------------------------------------------------------------------
@@ -197,34 +158,14 @@ class SpfTree:
     def recompute(self) -> None:
         """Full Dijkstra from the root."""
         self.stats.full_computations += 1
-        self.dist = {node_id: UNREACHABLE for node_id in self.network.nodes}
-        self.parent_link = {node_id: None for node_id in self.network.nodes}
+        nodes = self.network.nodes
+        self.dist = dict.fromkeys(nodes, UNREACHABLE)
+        self.parent_link = dict.fromkeys(nodes)
         self.dist[self.root] = 0.0
-        heap: List = [(0.0, 0, self.root)]
-        sequence = count(1)
-        done: Set[int] = set()
-        while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if node in done or d > self.dist[node]:
-                continue
-            done.add(node)
-            self.stats.nodes_scanned += 1
-            for link in self.network.out_links(node):
-                cost = self.costs[link.link_id]
-                if math.isinf(cost):
-                    continue
-                candidate = d + cost
-                if candidate < self.dist[link.dst]:
-                    self.dist[link.dst] = candidate
-                    self.parent_link[link.dst] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), link.dst))
-                elif candidate == self.dist[link.dst]:
-                    # Canonical tie-break: smallest tight link id.  Every
-                    # settled node relaxes its out-links, so every tight
-                    # in-link of every node gets compared here.
-                    current = self.parent_link[link.dst]
-                    if current is not None and link.link_id < current:
-                        self.parent_link[link.dst] = link.link_id
+        # Every settled node relaxes all its out-links, so the settle's
+        # inline tie-compares see every tight in-link of every node: the
+        # parents come out canonical without a separate sweep.
+        self._settle([(0.0, 0, self.root)], 1)
 
     # ------------------------------------------------------------------
     # Incremental update
@@ -242,7 +183,7 @@ class SpfTree:
 
         Returns ``True`` when the tree was adjusted and ``False`` for a
         no-op, so callers can keep routing state derived from the tree
-        (e.g. a compiled forwarding table) across no-op updates.
+        (e.g. resolved next hops) across no-op updates.
         """
         old_cost = self.costs[link_id]
         self.costs[link_id] = new_cost
@@ -254,7 +195,7 @@ class SpfTree:
 
         if new_cost < old_cost:
             base = self.dist[link.src]
-            if math.isinf(base):
+            if math.isinf(base) or not link.up:
                 self.stats.no_op_updates += 1
                 return False
             if in_tree or base + new_cost < self.dist[link.dst]:
@@ -307,20 +248,25 @@ class SpfTree:
                 raise ValueError(f"link cost must be >= 0, got {new_cost}")
             effective[link_id] = new_cost
 
+        costs = self.costs.costs
+        links = self.network.links
+        dist = self.dist
+        parent = self.parent_link
         decreased: List[int] = []
         detach_roots: List[int] = []
         applied = 0
         for link_id, new_cost in effective.items():
-            old_cost = self.costs[link_id]
+            old_cost = costs[link_id]
             if new_cost == old_cost:
                 continue
-            self.costs[link_id] = new_cost
+            costs[link_id] = new_cost
             applied += 1
-            link = self.network.link(link_id)
             if new_cost < old_cost:
                 decreased.append(link_id)
-            elif self.parent_link.get(link.dst) == link_id:
-                detach_roots.append(link.dst)
+            else:
+                dst = links[link_id].dst
+                if parent[dst] == link_id:
+                    detach_roots.append(dst)
             # Increases on non-tree links need no work at all.
 
         if applied == 0:
@@ -328,20 +274,15 @@ class SpfTree:
             return False
         self.stats.batched_changes += applied
 
-        dist = self.dist
-        parent = self.parent_link
-        network = self.network
-        costs = self.costs
-
         # Detach the union of the subtrees below every increased tree
         # link; everything outside keeps a still-achievable distance.
         # Children are discovered through the static adjacency -- ``m``
         # hangs off ``n`` exactly when ``parent_link[m]`` is a link
         # n->m -- so the walk costs O(subtree * degree) instead of the
         # O(N) children index a 512-node tree pays per pass.
+        out_adj, in_adj = self.network.static_adjacency()
         detached: Set[int] = set()
         if detach_roots:
-            out_adj, in_adj = self._static_adjacency()
             stack = detach_roots
             while stack:
                 node = stack.pop()
@@ -349,52 +290,62 @@ class SpfTree:
                     continue
                 detached.add(node)
                 for link in out_adj[node]:
-                    if parent.get(link.dst) == link.link_id:
+                    if parent[link.dst] == link.link_id:
                         stack.append(link.dst)
         for node in detached:
             dist[node] = UNREACHABLE
             parent[node] = None
 
+        heappush = heapq.heappush
         heap: List = []
-        sequence = count()
+        sequence = 0
         moved = bool(detached)
         touched: Set[int] = set(detached)
 
         # Re-seed detached nodes from every link crossing the boundary.
         for node in detached:
             for link in in_adj[node]:
-                if not link.up or link.src in detached:
+                if not link.up:
+                    continue
+                src = link.src
+                if src in detached:
                     continue
                 cost = costs[link.link_id]
-                base = dist[link.src]
-                if math.isinf(cost) or math.isinf(base):
+                base = dist[src]
+                if cost == UNREACHABLE or base == UNREACHABLE:
                     continue
                 candidate = base + cost
                 if candidate < dist[node]:
                     dist[node] = candidate
                     parent[node] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), node))
+                    heappush(heap, (candidate, sequence, node))
+                    sequence += 1
 
-        # Relax every decreased link directly.
+        # Relax every decreased link directly.  A down link carries
+        # nothing, however cheap its last advertised cost.
         for link_id in decreased:
-            link = network.link(link_id)
+            link = links[link_id]
+            if not link.up:
+                continue
             base = dist[link.src]
             cost = costs[link_id]
-            if math.isinf(base) or math.isinf(cost):
+            if base == UNREACHABLE or cost == UNREACHABLE:
                 continue
             candidate = base + cost
-            if candidate < dist[link.dst]:
-                dist[link.dst] = candidate
-                parent[link.dst] = link_id
-                touched.add(link.dst)
-                heapq.heappush(heap, (candidate, next(sequence), link.dst))
+            dst = link.dst
+            if candidate < dist[dst]:
+                dist[dst] = candidate
+                parent[dst] = link_id
+                touched.add(dst)
+                heappush(heap, (candidate, sequence, dst))
+                sequence += 1
                 moved = True
-            elif candidate == dist[link.dst]:
+            elif candidate == dist[dst]:
                 # The decrease made this link exactly tight: the
                 # canonical (min-link-id) parent may switch.
-                current = parent[link.dst]
+                current = parent[dst]
                 if current is not None and link_id < current:
-                    parent[link.dst] = link_id
+                    parent[dst] = link_id
                     moved = True
 
         if not heap and not moved:
@@ -403,34 +354,13 @@ class SpfTree:
         self.stats.batched_passes += 1
 
         # One settle pass over the whole affected region.
-        while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            self.stats.nodes_scanned += 1
-            for out in network.out_links(node):
-                cost = costs[out.link_id]
-                if math.isinf(cost):
-                    continue
-                candidate = d + cost
-                if candidate < dist[out.dst]:
-                    dist[out.dst] = candidate
-                    parent[out.dst] = out.link_id
-                    touched.add(out.dst)
-                    heapq.heappush(heap, (candidate, next(sequence), out.dst))
-                elif candidate == dist[out.dst]:
-                    current = parent[out.dst]
-                    if current is not None and out.link_id < current:
-                        parent[out.dst] = out.link_id
+        touched.update(self._settle(heap, sequence))
         self._canonicalize_parents(touched)
         return True
 
     def _propagate_improvement(self, link_id: int) -> None:
         """Relax outward from a link whose cost dropped."""
         link = self.network.link(link_id)
-        heap: List = []
-        sequence = count()
-        touched: List[int] = []
         candidate = self.dist[link.src] + self.costs[link_id]
         if candidate < self.dist[link.dst] or (
             self.parent_link.get(link.dst) == link_id
@@ -438,30 +368,9 @@ class SpfTree:
         ):
             self.dist[link.dst] = candidate
             self.parent_link[link.dst] = link_id
-            touched.append(link.dst)
-            heapq.heappush(heap, (candidate, next(sequence), link.dst))
-        while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if d > self.dist[node]:
-                continue
-            self.stats.nodes_scanned += 1
-            for out in self.network.out_links(node):
-                cost = self.costs[out.link_id]
-                if math.isinf(cost):
-                    continue
-                cand = d + cost
-                if cand < self.dist[out.dst]:
-                    self.dist[out.dst] = cand
-                    self.parent_link[out.dst] = out.link_id
-                    touched.append(out.dst)
-                    heapq.heappush(heap, (cand, next(sequence), out.dst))
-                elif cand == self.dist[out.dst]:
-                    # A new tie into a node whose distance is unchanged:
-                    # its canonical parent is min(old parent, this link).
-                    current = self.parent_link[out.dst]
-                    if current is not None and out.link_id < current:
-                        self.parent_link[out.dst] = out.link_id
-        self._canonicalize_parents(touched)
+            touched = [link.dst]
+            touched.extend(self._settle([(candidate, 0, link.dst)], 1))
+            self._canonicalize_parents(touched)
 
     def _reattach_subtree(self, subtree_root: int) -> None:
         """Recompute distances for the subtree hanging off ``subtree_root``.
@@ -475,41 +384,70 @@ class SpfTree:
             self.dist[node] = UNREACHABLE
             self.parent_link[node] = None
 
+        _out_adj, in_adj = self.network.static_adjacency()
         heap: List = []
-        sequence = count()
+        sequence = 0
         for node in subtree:
-            for link in self.network.in_links(node):
-                if link.src in subtree:
+            for link in in_adj[node]:
+                if not link.up or link.src in subtree:
                     continue
                 cost = self.costs[link.link_id]
                 base = self.dist[link.src]
-                if math.isinf(cost) or math.isinf(base):
+                if cost == UNREACHABLE or base == UNREACHABLE:
                     continue
                 candidate = base + cost
                 if candidate < self.dist[node]:
                     self.dist[node] = candidate
                     self.parent_link[node] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), node))
+                    heapq.heappush(heap, (candidate, sequence, node))
+                    sequence += 1
+        self._settle(heap, sequence)
+        self._canonicalize_parents(subtree)
 
+    def _settle(self, heap: List, sequence: int) -> List[int]:
+        """Dijkstra-settle a repair's seeded heap over up links.
+
+        ``sequence`` continues the tie-breaking counter of the heap
+        entries already pushed.  Returns the nodes whose distance
+        dropped, in order.
+        """
+        out_adj, _in_adj = self.network.static_adjacency()
+        dist = self.dist
+        parent = self.parent_link
+        costs = self.costs.costs
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        moved: List[int] = []
+        scanned = 0
         while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if d > self.dist[node]:
+            d, _seq, node = heappop(heap)
+            if d > dist[node]:
                 continue
-            self.stats.nodes_scanned += 1
-            for out in self.network.out_links(node):
-                cost = self.costs[out.link_id]
-                if math.isinf(cost):
+            scanned += 1
+            for out in out_adj[node]:
+                if not out.up:
+                    continue
+                out_id = out.link_id
+                cost = costs[out_id]
+                if cost == UNREACHABLE:
                     continue
                 candidate = d + cost
-                if candidate < self.dist[out.dst]:
-                    self.dist[out.dst] = candidate
-                    self.parent_link[out.dst] = out.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), out.dst))
-                elif candidate == self.dist[out.dst]:
-                    current = self.parent_link[out.dst]
-                    if current is not None and out.link_id < current:
-                        self.parent_link[out.dst] = out.link_id
-        self._canonicalize_parents(subtree)
+                dst = out.dst
+                known = dist[dst]
+                if candidate < known:
+                    dist[dst] = candidate
+                    parent[dst] = out_id
+                    moved.append(dst)
+                    heappush(heap, (candidate, sequence, dst))
+                    sequence += 1
+                elif candidate == known:
+                    # A new tie into a node whose distance is unchanged:
+                    # its canonical parent is min(old parent, this link).
+                    current = parent[dst]
+                    if current is not None and out_id < current:
+                        parent[dst] = out_id
+        self.stats.nodes_scanned += scanned
+        return moved
 
     def _canonicalize_parents(self, nodes) -> None:
         """Re-derive the canonical parent for ``nodes`` from final dists.
@@ -520,53 +458,30 @@ class SpfTree:
         source was never rescanned in that pass.  Tightness is a pure
         function of distances and costs, so one sweep over the moved
         nodes -- picking the smallest tight in-link id -- restores the
-        global invariant at O(moved * degree).
+        global invariant at O(moved * degree).  In-links are listed in
+        link-id order, so the first tight one is the smallest.
         """
         if not nodes:
             return
-        _out_adj, in_adj = self._static_adjacency()
+        _out_adj, in_adj = self.network.static_adjacency()
         dist = self.dist
-        costs = self.costs
+        parent = self.parent_link
+        costs = self.costs.costs
+        root = self.root
         for node in nodes:
-            if node == self.root:
+            if node == root:
                 continue
             d = dist[node]
-            if math.isinf(d):
-                self.parent_link[node] = None
-                continue
             best: Optional[int] = None
-            for link in in_adj[node]:
-                if not link.up:
-                    continue
-                lid = link.link_id
-                if best is not None and lid >= best:
-                    continue
-                cost = costs[lid]
-                if math.isinf(cost):
-                    continue
-                if dist[link.src] + cost == d:
-                    best = lid
-            self.parent_link[node] = best
-
-    def _static_adjacency(self) -> Tuple[Dict[int, List], Dict[int, List]]:
-        """Per-node outgoing and incoming :class:`Link` lists, cached.
-
-        Down links are *included* -- callers check ``link.up`` where it
-        matters -- because the link set is append-only for a network's
-        lifetime while up/down flags toggle freely, which lets the lists
-        survive failures and recoveries.  Rebuilt only when links were
-        added since the snapshot was taken.
-        """
-        cache = self._adj_cache
-        links = self.network.links
-        if cache is None or cache[0] != len(links):
-            out_map: Dict[int, List] = {n: [] for n in self.network.nodes}
-            in_map: Dict[int, List] = {n: [] for n in self.network.nodes}
-            for link in links:
-                out_map[link.src].append(link)
-                in_map[link.dst].append(link)
-            cache = self._adj_cache = (len(links), out_map, in_map)
-        return cache[1], cache[2]
+            if d != UNREACHABLE:
+                for link in in_adj[node]:
+                    if not link.up:
+                        continue
+                    cost = costs[link.link_id]
+                    if cost != UNREACHABLE and dist[link.src] + cost == d:
+                        best = link.link_id
+                        break
+            parent[node] = best
 
     def _children_index(self) -> Dict[int, List[int]]:
         """Tree children per node, from the parent-link pointers."""

@@ -1,29 +1,26 @@
-"""Network-wide SPF result sharing and compiled forwarding tables.
+"""Lazily resolved next hops and network-wide shared Dijkstra trees.
 
-All PSNs route over one shared topology, and -- because updates are
-flooded everywhere -- their cost tables spend most of a run agreeing
-with each other.  That makes SPF results a function of
-``(root, topology state, cost fingerprint)``, so they can be computed
-once and shared network-wide.  The :class:`SpfCache` keeps two stores:
+**Lazy next hops.**  Single-path forwarding needs one decision per
+packet: the outgoing link toward the destination.  Each PSN keeps a flat
+``next_hop[dest]`` list that starts out :data:`UNRESOLVED` and is reset
+to that whenever its SPF tree changes.  The first packet toward a
+destination fills the entry with :func:`resolve_next_hop`, which walks
+the tree's parent pointers and back-fills every node on the way, so
+later packets pay one list index.  The entries are a pure function of
+the owner's tree, so they agree with
+:meth:`~repro.routing.spf.SpfTree.next_hop_link` decision for decision.
 
-* **Shared Dijkstra trees** -- full from-scratch shortest-path trees
-  keyed by root and cost fingerprint.  The equal-cost multipath router
-  needs a tree per neighbour per recompute; with a consistent cost view,
-  every node's "tree rooted at X" is the same object.  During D-SPF
-  oscillation the network revisits the same few cost states over and
-  over, so trees also get reused across *time*.
-* **Compiled forwarding tables** -- a flat ``next_hop[dest] -> link_id``
-  list per tree, consulted per packet in O(1) instead of walking tree
-  parent pointers per hop.  Tables are compiled from each PSN's own
-  incrementally-maintained tree, so they inherit its exact tie-breaking:
-  forwarding decisions with the cache on and off are identical.
-
-Entries are invalidated implicitly by keying: a cost change alters the
-fingerprint (see :meth:`~repro.routing.spf.CostTable.cache_key`) and a
-link up/down bumps the topology version
-(:attr:`~repro.topology.graph.Network.topology_version`), so stale
-entries can never be returned, only evicted.  The cache is bounded; old
-entries fall off in LRU order, deterministically.
+**Shared trees.**  The equal-cost multipath router needs a from-scratch
+Dijkstra tree per neighbour per recompute.  With a consistent cost view,
+every node's "tree rooted at X" is the same, so the :class:`SpfCache`
+computes each once and shares it network-wide; during D-SPF oscillation
+the network revisits the same few cost states, so trees are reused
+across *time* too.  Entries are keyed by root, topology version
+(:attr:`~repro.topology.graph.Network.topology_version`) and cost-table
+content (:meth:`~repro.routing.spf.CostTable.cache_key`), so stale trees
+can never be returned, only evicted; the store is bounded and evicts in
+LRU order, deterministically.  Simulations build a cache only when
+multipath forwarding is on.
 """
 
 from __future__ import annotations
@@ -35,69 +32,62 @@ from typing import List, Optional
 from repro.routing.spf import CostTable, SpfTree
 from repro.topology.graph import Network
 
+#: A next-hop entry not resolved since the tree last changed (link ids
+#: are >= 0, and ``None`` means "no route").
+UNRESOLVED = -1
+
+
+def resolve_next_hop(
+    tree: SpfTree, table: List[Optional[int]], dest: int
+) -> Optional[int]:
+    """Resolve ``table[dest]``, the first link of ``tree``'s path to ``dest``.
+
+    ``None`` for the root itself and for unreachable destinations, as
+    :meth:`SpfTree.next_hop_link`.  The walk up the parent pointers
+    stops at the root or at the first node already resolved, and every
+    node it passed gets the same answer, so resolving all destinations
+    costs O(N) in total.
+    """
+    root = tree.root
+    parent_link = tree.parent_link
+    links = tree.network.links
+    chain = [dest]
+    node = dest
+    hop: Optional[int] = None
+    while node != root:
+        link_id = parent_link[node]
+        if link_id is None:
+            hop = None  # unreachable: the whole chain forwards nowhere
+            break
+        src = links[link_id].src
+        if src == root:
+            hop = link_id
+            break
+        hop = table[src]
+        if hop != UNRESOLVED:
+            break
+        chain.append(src)
+        node = src
+    for member in chain:
+        table[member] = hop
+    return hop
+
 
 @dataclass
 class SpfCacheStats:
-    """Hit/miss accounting for both cache stores."""
+    """Hit/miss accounting for the shared-tree store."""
 
-    table_hits: int = 0
-    table_misses: int = 0
     tree_hits: int = 0
     tree_misses: int = 0
     evictions: int = 0
-
-    @property
-    def table_lookups(self) -> int:
-        return self.table_hits + self.table_misses
 
     @property
     def tree_lookups(self) -> int:
         return self.tree_hits + self.tree_misses
 
 
-def compile_forwarding_table(tree: SpfTree) -> List[Optional[int]]:
-    """Flatten ``tree`` into ``next_hop[dest] -> outgoing link id``.
-
-    Entry semantics match :meth:`SpfTree.next_hop_link` exactly: ``None``
-    for the root itself and for unreachable destinations.  One amortized
-    O(N) pass: each parent-pointer walk stops at the first node already
-    resolved and back-fills the whole chain.
-    """
-    network = tree.network
-    root = tree.root
-    parent_link = tree.parent_link
-    links = network.links
-    size = len(network.nodes)
-    table: List[Optional[int]] = [None] * size
-    resolved = bytearray(size)
-    resolved[root] = 1
-    for dest in range(size):
-        if resolved[dest]:
-            continue
-        chain = [dest]
-        node = dest
-        first_hop: Optional[int] = None
-        while True:
-            link_id = parent_link.get(node)
-            if link_id is None:
-                break  # unreachable: the whole chain forwards nowhere
-            src = links[link_id].src
-            if src == root:
-                first_hop = link_id
-                break
-            if resolved[src]:
-                first_hop = table[src]
-                break
-            chain.append(src)
-            node = src
-        for member in chain:
-            table[member] = first_hop
-            resolved[member] = 1
-    return table
-
-
 class SpfCache:
-    """Shared SPF trees and compiled forwarding tables for one network.
+    """Shared from-scratch SPF trees for one network.
 
     Parameters
     ----------
@@ -106,7 +96,7 @@ class SpfCache:
         ``topology_version``, so link up/down events invalidate every
         entry computed under the old link state.
     max_entries:
-        Bound per store; least-recently-used entries are evicted.
+        Bound on the store; least-recently-used entries are evicted.
     """
 
     def __init__(self, network: Network, max_entries: int = 1024) -> None:
@@ -115,50 +105,21 @@ class SpfCache:
         self.network = network
         self.max_entries = max_entries
         self.stats = SpfCacheStats()
-        self._tables: OrderedDict = OrderedDict()
         self._trees: OrderedDict = OrderedDict()
 
     def __repr__(self) -> str:
         return (
-            f"<SpfCache tables={len(self._tables)} trees={len(self._trees)} "
-            f"hits={self.stats.table_hits + self.stats.tree_hits}>"
+            f"<SpfCache trees={len(self._trees)} "
+            f"hits={self.stats.tree_hits}>"
         )
 
-    # ------------------------------------------------------------------
-    # Forwarding tables
-    # ------------------------------------------------------------------
-    def forwarding_table(self, tree: SpfTree) -> List[Optional[int]]:
-        """The compiled next-hop table for ``tree``'s current state.
-
-        Keyed by (root, topology version, cost fingerprint); compiled
-        from ``tree`` itself on a miss, so the result always matches the
-        owner's incremental tree decision-for-decision.
-        """
-        key = (
-            tree.root,
-            self.network.topology_version,
-            tree.costs.cache_key(),
-        )
-        table = self._tables.get(key)
-        if table is not None:
-            self.stats.table_hits += 1
-            self._tables.move_to_end(key)
-            return table
-        self.stats.table_misses += 1
-        table = compile_forwarding_table(tree)
-        self._remember(self._tables, key, table)
-        return table
-
-    # ------------------------------------------------------------------
-    # Shared trees
-    # ------------------------------------------------------------------
     def shared_tree(self, root: int, costs: CostTable) -> SpfTree:
         """A full Dijkstra tree rooted at ``root`` under ``costs``.
 
         The tree is computed from scratch on a miss (over a private copy
         of ``costs``) and shared by reference afterwards -- treat it as
-        frozen.  Any node whose cost fingerprint matches gets the same
-        tree object back.
+        frozen.  Any node whose cost table has the same content gets the
+        same tree object back.
         """
         key = (root, self.network.topology_version, costs.cache_key())
         tree = self._trees.get(key)
@@ -168,22 +129,15 @@ class SpfCache:
             return tree
         self.stats.tree_misses += 1
         tree = SpfTree(self.network, root, costs.copy())
-        self._remember(self._trees, key, tree)
+        self._trees[key] = tree
+        if len(self._trees) > self.max_entries:
+            self._trees.popitem(last=False)
+            self.stats.evictions += 1
         return tree
 
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def _remember(self, store: OrderedDict, key, value) -> None:
-        store[key] = value
-        if len(store) > self.max_entries:
-            store.popitem(last=False)
-            self.stats.evictions += 1
-
     def clear(self) -> None:
-        """Drop every cached entry (stats are kept)."""
-        self._tables.clear()
+        """Drop every cached tree (stats are kept)."""
         self._trees.clear()
 
     def __len__(self) -> int:
-        return len(self._tables) + len(self._trees)
+        return len(self._trees)

@@ -81,10 +81,6 @@ class ScenarioConfig:
     #: errors, a destroyed RFNM permanently consumes window share (the
     #: pre-timeout IMP behaved the same way).
     flow_control_window: Optional[int] = None
-    #: Share SPF results network-wide and forward via compiled next-hop
-    #: tables.  Pure speed -- same-seed runs are bit-identical with it
-    #: off -- so it only exists as a knob for A/B verification.
-    spf_cache: bool = True
     #: Event-queue backend: "auto" (heap for small runs, calendar queue
     #: once the pending count grows), "heap", or "calendar".  Scheduler
     #: choice never changes results, only speed; None defers to
@@ -261,9 +257,10 @@ class NetworkSimulation:
         )
         if self.profiler is not None:
             instrument_stats(self.profiler, self.stats)
-        #: One SPF cache for the whole network (None = disabled).
+        #: The multipath routers' shared Dijkstra trees (None without
+        #: multipath: single-path forwarding needs no shared state).
         self.spf_cache: Optional[SpfCache] = (
-            SpfCache(network) if self.config.spf_cache else None
+            SpfCache(network) if self.config.multipath is not None else None
         )
 
         self.transmitters: Dict[int, LinkTransmitter] = {

@@ -88,8 +88,10 @@ class Network:
         self.name = name
         self.nodes: Dict[int, Node] = {}
         self.links: List[Link] = []
-        self._out_links: Dict[int, List[int]] = {}
-        self._in_links: Dict[int, List[int]] = {}
+        # Per-node links in link-id order, down links included; see
+        # static_adjacency().
+        self._out_links: Dict[int, List[Link]] = {}
+        self._in_links: Dict[int, List[Link]] = {}
         self._by_name: Dict[str, int] = {}
         #: Bumped on any structural or up/down change; cached SPF results
         #: (see repro.routing.spf_cache) key on it, so a link failure or
@@ -129,8 +131,8 @@ class Network:
         self._require_node(dst)
         link = Link(len(self.links), src, dst, line_type, propagation_s)
         self.links.append(link)
-        self._out_links[src].append(link.link_id)
-        self._in_links[dst].append(link.link_id)
+        self._out_links[src].append(link)
+        self._in_links[dst].append(link)
         self.topology_version += 1
         self._up_out_cache.clear()
         return link
@@ -174,20 +176,29 @@ class Network:
         treat the result as read-only.
         """
         if include_down:
-            return [self.links[i] for i in self._out_links[node_id]]
+            return list(self._out_links[node_id])
         cached = self._up_out_cache.get(node_id)
         if cached is None:
             cached = self._up_out_cache[node_id] = [
-                self.links[i]
-                for i in self._out_links[node_id]
-                if self.links[i].up
+                link for link in self._out_links[node_id] if link.up
             ]
         return cached
 
     def in_links(self, node_id: int, include_down: bool = False) -> List[Link]:
         """Links entering ``node_id`` (up links only, by default)."""
-        links = (self.links[i] for i in self._in_links[node_id])
-        return [l for l in links if include_down or l.up]
+        return [l for l in self._in_links[node_id] if include_down or l.up]
+
+    def static_adjacency(
+        self,
+    ) -> Tuple[Dict[int, List[Link]], Dict[int, List[Link]]]:
+        """Per-node outgoing and incoming links, *including* down links.
+
+        Keyed by node id, each list in link-id order and extended as
+        links are added.  Up/down flags toggle without touching the
+        lists, so callers test ``link.up`` where it matters.  Every SPF
+        tree of the network walks these; treat them as read-only.
+        """
+        return self._out_links, self._in_links
 
     def links_between(self, src: int, dst: int) -> List[Link]:
         """All up links from ``src`` to ``dst`` (multi-circuit aware)."""

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.metrics import DelayMetric, HopNormalizedMetric
+from repro.psn import node as node_module
 from repro.psn.node import DOWN_COST
+from repro.routing.spf_cache import UNRESOLVED
 from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.topology import build_ring_network
 from repro.traffic import TrafficMatrix
@@ -67,28 +69,28 @@ def test_measurement_interval_generates_updates_within_cap():
         assert all(gap <= 51.0 for gap in gaps), link
 
 
-def test_hop_limit_drops_looping_packets():
-    """Force a routing loop by corrupting one node's tree; the hop limit
-    must catch the packet."""
+def test_hop_limit_drops_looping_packets(monkeypatch):
+    """Force a routing loop by corrupting one node's next-hop resolution;
+    the hop limit must catch the packet."""
     net = build_ring_network(4)
     traffic = TrafficMatrix({(0, 2): 5_000.0})
     sim = NetworkSimulation(net, HopNormalizedMetric(), traffic,
                             quiet_config())
     sim.run(until_s=20.0)
-    # Sabotage: node 1 sends everything for 2 back toward 0.  Knock the
-    # node off the compiled-table fast path first so the monkeypatched
-    # next_hop_link below is actually consulted per packet.
+    # Sabotage: node 1 sends everything for 2 back toward 0.  The evil
+    # resolver never fills the entry, so it is consulted per packet, and
+    # the already-resolved entries are forgotten first.
     back_link = net.links_between(1, 0)[0].link_id
-    sim.psns[1].spf_cache = None
-    sim.psns[1]._forwarding = None
-    original = sim.psns[1].tree.next_hop_link
+    original = node_module.resolve_next_hop
 
-    def evil_next_hop(dest):
-        if dest == 2:
+    def evil_resolve(tree, table, dest):
+        if tree.root == 1 and dest == 2:
             return back_link
-        return original(dest)
+        return original(tree, table, dest)
 
-    sim.psns[1].tree.next_hop_link = evil_next_hop
+    monkeypatch.setattr(node_module, "resolve_next_hop", evil_resolve)
+    psn = sim.psns[1]
+    psn._next_hop = [UNRESOLVED] * len(psn._next_hop)
     sim.run(until_s=40.0)
     assert sim.stats.hop_limit_drops > 0
 

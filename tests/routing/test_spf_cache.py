@@ -1,38 +1,44 @@
-"""Tests for the network-wide SPF cache and compiled forwarding tables.
+"""Tests for lazily resolved next hops and the shared-tree SPF cache.
 
-Covers the three guarantees the hot-path layer makes:
+Covers the guarantees :mod:`repro.routing.spf_cache` makes:
 
-* compiled tables agree with :meth:`SpfTree.next_hop_link` entry for
-  entry (including unreachable destinations),
-* cache keys invalidate on cost changes and on link up/down, and the
-  hit/miss accounting reflects every lookup,
-* a full simulation produces bit-identical reports with the cache on
-  and off -- the cache is pure speed, never behavior.
+* the next-hop table a PSN compiles lazily from its tree agrees with
+  :meth:`SpfTree.next_hop_link` entry for entry (including the root and
+  unreachable destinations), survives no-op updates and is forgotten
+  by tree-changing ones,
+* shared-tree keys invalidate on cost changes and on link up/down, and
+  the hit/miss accounting reflects every lookup,
+* cost-table keys track content, not mutation history.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import HopNormalizedMetric
-from repro.routing import CostTable, SpfTree
-from repro.routing.spf_cache import SpfCache, compile_forwarding_table
+from repro.routing import CostTable, RoutingUpdate, SpfTree
+from repro.routing.spf_cache import UNRESOLVED, SpfCache, resolve_next_hop
 from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.topology import build_random_network, build_ring_network
 from repro.traffic import TrafficMatrix
 
 
+def _resolved_table(tree, order):
+    table = [UNRESOLVED] * len(tree.network.nodes)
+    for dest in order:
+        resolve_next_hop(tree, table, dest)
+    return table
+
+
 def _assert_table_matches_tree(table, tree):
     for dest in tree.network.nodes:
         assert table[dest] == tree.next_hop_link(dest), (
-            f"compiled table disagrees with tree at dest {dest}"
+            f"lazy table disagrees with tree at dest {dest}"
         )
 
 
 # ----------------------------------------------------------------------
-# compile_forwarding_table
+# resolve_next_hop
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
@@ -40,11 +46,19 @@ def _assert_table_matches_tree(table, tree):
     n=st.integers(min_value=2, max_value=16),
     extra=st.integers(min_value=0, max_value=10),
     root=st.integers(min_value=0, max_value=15),
+    order=st.randoms(use_true_random=False),
 )
-def test_compiled_table_matches_next_hop_link(seed, n, extra, root):
+def test_compiled_table_matches_next_hop_link(seed, n, extra, root, order):
+    """Whatever order destinations are first asked for, back-filled
+    chains give every entry the tree's own answer."""
     net = build_random_network(n, extra_circuits=extra, seed=seed)
-    tree = SpfTree(net, root % n, CostTable.uniform(net, 1.0))
-    _assert_table_matches_tree(compile_forwarding_table(tree), tree)
+    costs = CostTable([float(1 + (i * 7) % 5) for i in range(len(net.links))])
+    tree = SpfTree(net, root % n, costs)
+    dests = list(net.nodes)
+    order.shuffle(dests)
+    table = _resolved_table(tree, dests)
+    _assert_table_matches_tree(table, tree)
+    assert UNRESOLVED not in table
 
 
 def test_compiled_table_handles_unreachable_partition():
@@ -57,43 +71,64 @@ def test_compiled_table_handles_unreachable_partition():
     for link_id in sorted(down):
         net.set_circuit_state(link_id, up=False)
     tree = SpfTree(net, 0, CostTable.uniform(net, 1.0))
-    table = compile_forwarding_table(tree)
-    assert table[0] is None  # the root itself
-    assert table[3] is None  # unreachable
-    assert table[1] is not None and table[2] is not None
+    table = [UNRESOLVED] * 4
+    assert resolve_next_hop(tree, table, 0) is None  # the root itself
+    assert resolve_next_hop(tree, table, 3) is None  # unreachable
+    assert table[1] == UNRESOLVED  # nothing resolved beyond the chain
+    assert resolve_next_hop(tree, table, 2) is not None
+    assert table[1] is not None  # back-filled on the way to 2
     _assert_table_matches_tree(table, tree)
 
 
 # ----------------------------------------------------------------------
-# Hit/miss accounting
+# The PSN's lazy table follows its tree
 # ----------------------------------------------------------------------
-def test_forwarding_table_hit_and_miss_accounting():
-    net = build_ring_network(5)
-    cache = SpfCache(net)
-    tree = SpfTree(net, 0, CostTable.uniform(net, 10.0))
-
-    first = cache.forwarding_table(tree)
-    assert cache.stats.table_misses == 1
-    assert cache.stats.table_hits == 0
-
-    again = cache.forwarding_table(tree)
-    assert again is first  # shared object, not a recompile
-    assert cache.stats.table_hits == 1
-    assert cache.stats.table_lookups == 2
-
-    # Another node with the *same* cost view shares the miss: different
-    # root means a different key, so it compiles its own table...
-    other = SpfTree(net, 2, CostTable.uniform(net, 10.0))
-    other_table = cache.forwarding_table(other)
-    assert other_table is not first
-    assert cache.stats.table_misses == 2
-    # ...but a same-root, same-cost lookup from a distinct CostTable
-    # object still hits: the key is the fingerprint, not identity.
-    clone = SpfTree(net, 0, CostTable.uniform(net, 10.0))
-    assert cache.forwarding_table(clone) is first
-    assert cache.stats.table_hits == 2
+def _idle_psn():
+    network = build_ring_network(5)
+    simulation = NetworkSimulation(
+        network, HopNormalizedMetric(), TrafficMatrix({}),
+        ScenarioConfig(duration_s=1.0, warmup_s=0.0),
+    )
+    psn = simulation.psns[0]
+    for dest in network.nodes:
+        resolve_next_hop(psn.tree, psn._next_hop, dest)
+    return network, psn
 
 
+def test_lazy_table_survives_no_op_update():
+    network, psn = _idle_psn()
+    table = psn._next_hop
+    before = list(table)
+    # Re-advertise node 2's lines at the costs node 0 already holds.
+    entries = tuple(
+        (link.link_id, int(psn.costs[link.link_id]))
+        for link in network.out_links(2)
+    )
+    psn._apply_update(RoutingUpdate(2, entries, 1))
+    psn.flush_pending_updates()
+    assert psn._next_hop is table
+    assert table == before
+
+
+def test_lazy_table_dropped_by_tree_changing_update():
+    network, psn = _idle_psn()
+    first_hop = psn._next_hop[1]
+    assert first_hop is not None
+    # Make node 0's only tree link into node 1 very expensive: node 1's
+    # route (and every route through it) has to move.
+    entries = ((first_hop, 10_000),)
+    psn._apply_update(RoutingUpdate(0, entries, 1))
+    psn.flush_pending_updates()
+    assert psn._next_hop == [UNRESOLVED] * len(network.nodes)
+    assert resolve_next_hop(psn.tree, psn._next_hop, 1) != first_hop
+    _assert_table_matches_tree(
+        _resolved_table(psn.tree, network.nodes), psn.tree
+    )
+
+
+# ----------------------------------------------------------------------
+# Shared trees
+# ----------------------------------------------------------------------
 def test_shared_tree_hit_and_miss_accounting():
     net = build_ring_network(5)
     cache = SpfCache(net)
@@ -115,68 +150,44 @@ def test_shared_tree_hit_and_miss_accounting():
     assert tree.costs[0] == 7.0
 
 
-# ----------------------------------------------------------------------
-# Invalidation
-# ----------------------------------------------------------------------
-def test_cost_change_invalidates_cached_table():
-    net = build_ring_network(4)
-    cache = SpfCache(net)
-    costs = CostTable.uniform(net, 5.0)
-    tree = SpfTree(net, 0, costs)
-
-    stale = cache.forwarding_table(tree)
-    tree.update_cost(0, 50.0)
-    fresh = cache.forwarding_table(tree)
-    assert cache.stats.table_misses == 2  # new fingerprint -> recompile
-    _assert_table_matches_tree(fresh, tree)
-
-    # Reverting the cost restores the old fingerprint: the original
-    # entry is still cached and comes back verbatim.
-    tree.update_cost(0, 5.0)
-    assert cache.forwarding_table(tree) is stale
-
-
 def test_link_state_change_invalidates_cached_entries():
     net = build_ring_network(4)
     cache = SpfCache(net)
-    tree = SpfTree(net, 0, CostTable.uniform(net, 5.0))
-    cache.forwarding_table(tree)
-    cache.shared_tree(0, tree.costs)
+    costs = CostTable.uniform(net, 5.0)
+    cache.shared_tree(0, costs)
     version = net.topology_version
 
     affected = net.set_circuit_state(0, up=False)
     assert affected and net.topology_version > version
-    # Same root, same cost fingerprint -- but the topology version in
-    # the key changed, so both stores must miss.
-    tree.recompute()
-    cache.forwarding_table(tree)
-    cache.shared_tree(0, tree.costs)
-    assert cache.stats.table_misses == 2
+    # Same root, same costs -- but the topology version in the key
+    # changed, so the store must miss.
+    down_tree = cache.shared_tree(0, costs)
     assert cache.stats.tree_misses == 2
+    assert 0 not in down_tree.parent_link.values()
 
     # Bringing the circuit back up is a *new* version again, not a
-    # return to the old key: entries computed while it was down can
-    # never be served for the restored topology.
+    # return to the old key: trees computed while it was down can never
+    # be served for the restored topology.
     net.set_circuit_state(0, up=True)
-    tree.recompute()
-    cache.forwarding_table(tree)
-    assert cache.stats.table_misses == 3
+    cache.shared_tree(0, costs)
+    assert cache.stats.tree_misses == 3
 
 
 def test_lru_eviction_is_bounded_and_counted():
     net = build_ring_network(4)
     cache = SpfCache(net, max_entries=2)
+    costs = CostTable.uniform(net, 1.0)
     for root in range(3):
-        cache.forwarding_table(SpfTree(net, root, CostTable.uniform(net, 1.0)))
-    assert len(cache._tables) == 2
+        cache.shared_tree(root, costs)
+    assert len(cache) == 2
     assert cache.stats.evictions == 1
     # Root 0 was evicted (least recently used) -> looking it up misses.
-    cache.forwarding_table(SpfTree(net, 0, CostTable.uniform(net, 1.0)))
-    assert cache.stats.table_misses == 4
+    cache.shared_tree(0, costs)
+    assert cache.stats.tree_misses == 4
 
     cache.clear()
     assert len(cache) == 0
-    assert cache.stats.table_misses == 4  # stats survive clear()
+    assert cache.stats.tree_misses == 4  # stats survive clear()
 
 
 def test_max_entries_must_be_positive():
@@ -185,53 +196,8 @@ def test_max_entries_must_be_positive():
 
 
 # ----------------------------------------------------------------------
-# End to end: the cache is pure speed
+# Cache keys
 # ----------------------------------------------------------------------
-def _run_ring(spf_cache: bool):
-    network = build_ring_network(4)
-    traffic = TrafficMatrix.uniform(network, total_bps=40_000.0)
-    simulation = NetworkSimulation(
-        network, HopNormalizedMetric(), traffic,
-        ScenarioConfig(duration_s=30.0, warmup_s=5.0, seed=11,
-                       spf_cache=spf_cache),
-    )
-    report = simulation.run()
-    return simulation, report
-
-
-def test_simulation_identical_with_cache_on_and_off():
-    sim_on, report_on = _run_ring(spf_cache=True)
-    sim_off, report_off = _run_ring(spf_cache=False)
-
-    assert sim_on.spf_cache is not None
-    assert sim_off.spf_cache is None
-    assert dataclasses.asdict(report_on) == dataclasses.asdict(report_off)
-    assert sim_on.stats.cost_history == sim_off.stats.cost_history
-
-
-# ----------------------------------------------------------------------
-# Cache keys are O(changed), never O(links)
-# ----------------------------------------------------------------------
-def test_cache_key_work_is_o_changed_not_o_links():
-    """``key_work`` counts fingerprint entries touched: L to build the
-    table, then exactly one per mutation -- ``cache_key()`` itself adds
-    nothing, however many links the table holds or lookups happen."""
-    net = build_random_network(24, extra_circuits=12, seed=4)
-    links = len(net.links)
-    table = CostTable.uniform(net, 1.0)
-    assert table.key_work == links  # the one full build, at construction
-
-    for _ in range(100):
-        table.cache_key()
-    assert table.key_work == links  # lookups are free
-
-    for change, link_id in enumerate(range(0, links, 3)):
-        table[link_id] = 2.0 + change
-        table.cache_key()
-    changed = len(range(0, links, 3))
-    assert table.key_work == links + changed  # one entry per mutation
-
-
 def test_cache_key_tracks_content_not_history():
     net = build_ring_network(5)
     mutated = CostTable.uniform(net, 1.0)
@@ -241,7 +207,7 @@ def test_cache_key_tracks_content_not_history():
 
     assert CostTable(list(mutated.costs)).cache_key() == mutated.cache_key()
 
-    # And a genuine difference is never masked by the mixing.
+    # And a genuine difference is never masked.
     mutated[4] = 1.0
     assert CostTable(list(mutated.costs)).cache_key() == mutated.cache_key()
     assert mutated.cache_key() != CostTable(
